@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formula import Formula, Polarity
-from .monitor import robustness_many
+from .errors import InstantiationError, SearchLimitError
+from .formula import Formula, Polarity, parameters
+from .monitor import _rob_at, _stack, robustness_many
 from .params import ParamSpace, Valuation, instantiate
 from .traces import Trace
 
@@ -96,6 +97,11 @@ class BoundaryQuery:
         self.points_emitted = 0
         self.g_evaluations = 0
         self.log = RegionLog() if keep_log else None
+        missing = [name for name in parameters(template) if name not in space.names]
+        if missing:
+            raise InstantiationError(f"no value for parameter ${missing[0]}")
+        # checked and stacked here once, instead of on every g call
+        self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
 
         lo = space.lows()
         hi = space.highs()
@@ -110,8 +116,10 @@ class BoundaryQuery:
     # ------------------------------------------------------------------
 
     def g(self, vector: np.ndarray) -> float:
+        """Smallest robustness of the template at this point over the traces."""
         self.g_evaluations += 1
-        return min_robustness(self.template, self.space.to_valuation(vector), self.traces)
+        val = self.space.to_valuation(vector)
+        return min(float(_rob_at(self.template, b, 0.0, val).min()) for b in self._batches)
 
     def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:
         hard = np.where(self._hard_is_high, box.hi, box.lo)
@@ -132,7 +140,9 @@ class BoundaryQuery:
         while self._queue:
             self._boxes_processed += 1
             if self._boxes_processed > HARD_BOX_CAP:
-                raise RuntimeError("boundary search exceeded the hard box cap")
+                raise SearchLimitError(
+                    f"boundary search exceeded the hard cap of {HARD_BOX_CAP} boxes"
+                )
             box = self._queue.popleft()
             hard, easy = self._corners(box)
             if self.g(hard) > 0:

@@ -23,7 +23,7 @@ from .learner import (
     learn,
     mcr,
 )
-from .monitor import robustness
+from .monitor import robustness, robustness_many
 from .parser import parse_formula
 from .signatures import SignatureConfig
 from .traces import load_csv_dir, load_trace_csv, save_csv_dir, split_dataset
@@ -91,9 +91,10 @@ def cmd_learn(args) -> int:
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     if args.dump_robustness and result.found:
+        rhos = robustness_many(result.classifier.formula, ds.traces)
         lines = ["index,label,robustness"]
-        for i, (tr, label) in enumerate(zip(ds.traces, ds.labels)):
-            lines.append(f"{i},{label},{robustness(result.classifier.formula, tr)!r}")
+        for i, (label, rho) in enumerate(zip(ds.labels, rhos.tolist())):
+            lines.append(f"{i},{label},{rho!r}")
         Path(args.dump_robustness).write_text("\n".join(lines) + "\n")
 
     if not args.quiet:

@@ -37,3 +37,7 @@ class InstantiationError(StlmineError):
 
 class DegenerateBoundsError(StlmineError):
     """A parameter box could not be built (empty dataset, zero-duration traces, ...)."""
+
+
+class SearchLimitError(StlmineError):
+    """The boundary search passed its hard cap on processed boxes."""

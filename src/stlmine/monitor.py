@@ -31,6 +31,7 @@ from .errors import FormulaStructureError, TraceDomainError, UnknownSignalError
 from .formula import (
     And,
     Atom,
+    Bound,
     Const,
     Finally,
     Formula,
@@ -73,14 +74,21 @@ class _Batch:
         return (tr.signal_names, tr.n_samples, tr.period, tr.start_time)
 
 
-def _window_offsets(iv: Interval, period: float) -> tuple[int, int]:
+def _bound(b: Bound, val: dict[str, float] | None) -> float:
+    """Value of a threshold or window end: a Param reads the valuation."""
+    if isinstance(b, Const):
+        return b.value
+    return val[b.name]
+
+
+def _window_offsets(iv: Interval, period: float, val) -> tuple[int, int]:
     """Window endpoints as sample-index offsets, honouring open/closed ends.
 
     Returns (jlo, jhi); the window at grid index q is q+jlo .. q+jhi, which may
     be empty (jhi < jlo).
     """
-    lo = iv.lo.value
-    hi = iv.hi.value
+    lo = _bound(iv.lo, val)
+    hi = _bound(iv.hi, val)
     qlo = lo / period
     qhi = hi / period
     if iv.lo_closed:
@@ -141,39 +149,43 @@ def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarra
     return np.clip(best, -BIG, BIG)
 
 
-def _rob_grid(node: Formula, b: _Batch) -> np.ndarray:
-    """Robustness of node at every sample time; shape (traces, samples)."""
+def _rob_grid(node: Formula, b: _Batch, val: dict[str, float] | None = None) -> np.ndarray:
+    """Robustness of node at every sample time; shape (traces, samples).
+
+    Parameters of a template take their values from ``val``.
+    """
     match node:
         case TrueF():
             return np.full((b.k, b.n), BIG)
-        case Atom(sig, op, Const(c)):
+        case Atom(sig, op, bound):
+            c = _bound(bound, val)
             vals = b.signals[sig]
             out = vals - c if op in (">", ">=") else c - vals
             return np.clip(out, -BIG, BIG)
         case Not(child):
-            return -_rob_grid(child, b)
+            return -_rob_grid(child, b, val)
         case And(l, r):
-            return np.minimum(_rob_grid(l, b), _rob_grid(r, b))
+            return np.minimum(_rob_grid(l, b, val), _rob_grid(r, b, val))
         case Or(l, r):
-            return np.maximum(_rob_grid(l, b), _rob_grid(r, b))
+            return np.maximum(_rob_grid(l, b, val), _rob_grid(r, b, val))
         case Implies(l, r):
-            return np.maximum(-_rob_grid(l, b), _rob_grid(r, b))
+            return np.maximum(-_rob_grid(l, b, val), _rob_grid(r, b, val))
         case Finally(iv, child):
-            jlo, jhi = _window_offsets(iv, b.period)
-            return _window_reduce(_rob_grid(child, b), jlo, jhi, largest=True)
+            jlo, jhi = _window_offsets(iv, b.period, val)
+            return _window_reduce(_rob_grid(child, b, val), jlo, jhi, largest=True)
         case Globally(iv, child):
-            jlo, jhi = _window_offsets(iv, b.period)
-            return _window_reduce(_rob_grid(child, b), jlo, jhi, largest=False)
+            jlo, jhi = _window_offsets(iv, b.period, val)
+            return _window_reduce(_rob_grid(child, b, val), jlo, jhi, largest=False)
         case Until(iv, l, r):
-            jlo, jhi = _window_offsets(iv, b.period)
-            return _until_grid(_rob_grid(l, b), _rob_grid(r, b), jlo, jhi)
+            jlo, jhi = _window_offsets(iv, b.period, val)
+            return _until_grid(_rob_grid(l, b, val), _rob_grid(r, b, val), jlo, jhi)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-def _index_window(b: _Batch, t: float, iv: Interval) -> tuple[int, int]:
+def _index_window(b: _Batch, t: float, iv: Interval, val) -> tuple[int, int]:
     """Grid index range covered by t + I, clipped to the trace domain."""
-    qlo = (t + iv.lo.value - b.start) / b.period
-    qhi = (t + iv.hi.value - b.start) / b.period
+    qlo = (t + _bound(iv.lo, val) - b.start) / b.period
+    qhi = (t + _bound(iv.hi, val) - b.start) / b.period
     if iv.lo_closed:
         kmin = math.ceil(qlo - _EPS)
     else:
@@ -185,76 +197,90 @@ def _index_window(b: _Batch, t: float, iv: Interval) -> tuple[int, int]:
     return max(kmin, 0), min(kmax, b.n - 1)
 
 
-def _rob_at(node: Formula, b: _Batch, t: float) -> np.ndarray:
-    """Robustness at one (possibly off-grid) time; shape (traces,)."""
+def _rob_at(
+    node: Formula, b: _Batch, t: float, val: dict[str, float] | None = None
+) -> np.ndarray:
+    """Robustness at one (possibly off-grid) time; shape (traces,).
+
+    Parameters of a template take their values from ``val``.
+    """
     match node:
         case TrueF():
             return np.full(b.k, BIG)
-        case Atom(sig, op, Const(c)):
+        case Atom(sig, op, bound):
+            c = _bound(bound, val)
             idx = math.floor((t - b.start) / b.period + _EPS)
             idx = min(max(idx, 0), b.n - 1)
             vals = b.signals[sig][:, idx]
             out = vals - c if op in (">", ">=") else c - vals
             return np.clip(out, -BIG, BIG)
         case Not(child):
-            return -_rob_at(child, b, t)
+            return -_rob_at(child, b, t, val)
         case And(l, r):
-            return np.minimum(_rob_at(l, b, t), _rob_at(r, b, t))
+            return np.minimum(_rob_at(l, b, t, val), _rob_at(r, b, t, val))
         case Or(l, r):
-            return np.maximum(_rob_at(l, b, t), _rob_at(r, b, t))
+            return np.maximum(_rob_at(l, b, t, val), _rob_at(r, b, t, val))
         case Implies(l, r):
-            return np.maximum(-_rob_at(l, b, t), _rob_at(r, b, t))
+            return np.maximum(-_rob_at(l, b, t, val), _rob_at(r, b, t, val))
         case Finally(iv, child):
-            kmin, kmax = _index_window(b, t, iv)
+            kmin, kmax = _index_window(b, t, iv, val)
             if kmin > kmax:
                 return np.full(b.k, -BIG)
-            return _rob_grid(child, b)[:, kmin : kmax + 1].max(axis=1)
+            return _rob_grid(child, b, val)[:, kmin : kmax + 1].max(axis=1)
         case Globally(iv, child):
-            kmin, kmax = _index_window(b, t, iv)
+            kmin, kmax = _index_window(b, t, iv, val)
             if kmin > kmax:
                 return np.full(b.k, BIG)
-            return _rob_grid(child, b)[:, kmin : kmax + 1].min(axis=1)
+            return _rob_grid(child, b, val)[:, kmin : kmax + 1].min(axis=1)
         case Until(iv, l, r):
-            kmin, kmax = _index_window(b, t, iv)
+            kmin, kmax = _index_window(b, t, iv, val)
             if kmin > kmax:
                 return np.full(b.k, -BIG)
-            left = _rob_grid(l, b)
-            right = _rob_grid(r, b)
+            left = _rob_grid(l, b, val)
+            right = _rob_grid(r, b, val)
             k_t = max(math.ceil((t - b.start) / b.period - _EPS), 0)
-            best = np.full(b.k, -np.inf)
-            inner = np.full(b.k, np.inf)  # min of left over [k_t, j-1]
-            j = kmin
-            # roll the inner min forward to just before the first candidate
-            for i in range(k_t, kmin):
-                np.minimum(inner, left[:, i], out=inner)
-            while j <= kmax:
-                np.maximum(best, np.minimum(right[:, j], inner), out=best)
-                np.minimum(inner, left[:, j], out=inner)
-                j += 1
-            return np.clip(best, -BIG, BIG)
+            start = min(k_t, kmin)
+            # inner[:, j - start] = min of left over [start, j-1], +inf when empty
+            inner = np.empty((b.k, kmax - start + 1))
+            inner[:, 0] = np.inf
+            np.minimum.accumulate(left[:, start:kmax], axis=1, out=inner[:, 1:])
+            best = np.minimum(right[:, kmin : kmax + 1], inner[:, kmin - start :])
+            return np.clip(best.max(axis=1), -BIG, BIG)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-def _check_formula_against(phi: Formula, names) -> None:
+def _check_concrete(phi: Formula) -> None:
     if not is_concrete(phi):
         raise FormulaStructureError(
             "formula still has parameters; instantiate it before monitoring"
         )
-    missing = signals_of(phi) - set(names)
-    if missing:
-        raise UnknownSignalError(
-            f"formula uses unknown signal(s): {', '.join(sorted(missing))}"
-        )
+
+
+def _stack(phi: Formula, traces: list[Trace], t: float) -> list[tuple[list[int], _Batch]]:
+    """Check that every trace carries phi's signals and contains t, then stack
+    same-shape traces into one batch each; returns (trace indices, batch) pairs."""
+    groups: dict[tuple, list[int]] = {}
+    for i, tr in enumerate(traces):
+        key = _Batch.group_key(tr)
+        if key not in groups:
+            missing = signals_of(phi) - set(tr.signal_names)
+            if missing:
+                raise UnknownSignalError(
+                    f"formula uses unknown signal(s): {', '.join(sorted(missing))}"
+                )
+        if not tr.contains_time(t):
+            raise TraceDomainError(
+                f"t={t} outside trace domain [{tr.start_time}, {tr.end_time}]"
+            )
+        groups.setdefault(key, []).append(i)
+    return [(idx, _Batch([traces[i] for i in idx])) for idx in groups.values()]
 
 
 def robustness(phi: Formula, trace: Trace, t: float = 0.0) -> float:
     """Quantitative satisfaction margin of a concrete formula at time t."""
-    _check_formula_against(phi, trace.signal_names)
-    if not trace.contains_time(t):
-        raise TraceDomainError(
-            f"t={t} outside trace domain [{trace.start_time}, {trace.end_time}]"
-        )
-    return float(_rob_at(phi, _Batch([trace]), t)[0])
+    _check_concrete(phi)
+    [(_, batch)] = _stack(phi, [trace], t)
+    return float(_rob_at(phi, batch, t)[0])
 
 
 def satisfies(phi: Formula, trace: Trace, t: float = 0.0) -> bool:
@@ -267,16 +293,8 @@ def robustness_many(phi: Formula, traces: list[Trace], t: float = 0.0) -> np.nda
     each group is evaluated in a single vectorized pass."""
     if not traces:
         return np.empty(0)
-    _check_formula_against(phi, traces[0].signal_names)
+    _check_concrete(phi)
     out = np.empty(len(traces))
-    groups: dict[tuple, list[int]] = {}
-    for i, tr in enumerate(traces):
-        if not tr.contains_time(t):
-            raise TraceDomainError(
-                f"t={t} outside trace domain [{tr.start_time}, {tr.end_time}]"
-            )
-        groups.setdefault(_Batch.group_key(tr), []).append(i)
-    for idx in groups.values():
-        batch = _Batch([traces[i] for i in idx])
+    for idx, batch in _stack(phi, traces, t):
         out[idx] = _rob_at(phi, batch, t)
     return out

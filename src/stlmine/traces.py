@@ -2,7 +2,8 @@
 
 Trace CSV format: header ``time,<sig1>,<sig2>,...`` then one row per sample,
 UTF-8, ``.`` decimal separator.  A label manifest is a CSV of ``filename,label``
-rows with label 0 or 1; a ``filename,label`` header row is optional.
+rows with label 0 or 1; a ``filename,label`` or ``file,label`` header row is
+optional.
 """
 from __future__ import annotations
 
@@ -217,13 +218,15 @@ def save_trace_csv(trace: Trace, path) -> None:
 
 def read_label_manifest(path) -> list[tuple[str, int]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        reader = csv.reader(fh)
+        # (file line number, row) so errors point at the line as it appears
+        rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
     if not rows:
         raise DataFormatError(f"{path}: empty label manifest")
-    if [c.strip().lower() for c in rows[0]] == ["filename", "label"]:
+    if [c.strip().lower() for c in rows[0][1]] in (["filename", "label"], ["file", "label"]):
         rows = rows[1:]
     out = []
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in rows:
         if len(row) != 2:
             raise DataFormatError(f"{path}:{lineno}: expected 'filename,label' rows")
         name, label_text = row[0].strip(), row[1].strip()

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from stlmine.boundary import BoundaryQuery, min_robustness
+from stlmine.errors import InstantiationError, UnknownSignalError
 from stlmine.formula import Polarity
 from stlmine.params import ParamDef, ParamKind, ParamSpace, default_bounds
 from stlmine.parser import parse_formula
@@ -135,3 +136,17 @@ def test_determinism():
     a = list(BoundaryQuery(tpl, space, ds.traces, max_points=20))
     b = list(BoundaryQuery(tpl, space, ds.traces, max_points=20))
     assert a == b
+
+
+def test_query_checks_every_signal_set():
+    tpl = parse_formula("F[0,$tau](x > $c)")
+    space = default_bounds(tpl, Dataset([ramp_trace()], [1]))
+    traces = [ramp_trace(), Trace({"y": np.zeros(3)}, period=0.1)]
+    with pytest.raises(UnknownSignalError, match="x"):
+        BoundaryQuery(tpl, space, traces)
+
+
+def test_query_needs_every_template_parameter():
+    tpl = parse_formula("F[0,$tau](x > $c)")
+    with pytest.raises(InstantiationError, match=r"\$tau"):
+        BoundaryQuery(tpl, space_1d(0.0, 10.0), [ramp_trace()])

@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stlmine
+from stlmine import boundary
 from stlmine.cli import main
+from stlmine.monitor import robustness
+from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace, load_csv_dir, save_csv_dir
 
 TRACE_CSV = "time,x\n0.0,5.0\n1.0,5.0\n2.0,5.0\n"
@@ -126,6 +130,36 @@ def test_learn_dump_robustness(flat_dataset_dir, tmp_path):
         idx, label, rho = line.split(",")
         # the learned threshold separates: sign tracks the label
         assert (float(rho) > 0) == (label == "1")
+
+
+def test_learn_dump_robustness_matches_per_trace_values(tmp_path):
+    # three trace lengths, so the batch is evaluated in several groups
+    rng = np.random.default_rng(5)
+    traces = [Trace({"x": rng.uniform(lo, lo + 1.3, size=n)}, 0.1)
+              for lo, n in [(4.0, 3), (4.0, 5), (4.0, 4), (0.0, 5), (0.0, 3), (0.0, 4)]]
+    data = tmp_path / "data"
+    save_csv_dir(Dataset(traces, [1, 1, 1, 0, 0, 0]), data)
+    out = tmp_path / "result.json"
+    dump = tmp_path / "rho.csv"
+    code = main(
+        ["learn", "--data", str(data), "--out", str(out), "--quiet",
+         "--dump-robustness", str(dump)]
+    )
+    assert code == 0
+    phi = parse_formula(json.loads(out.read_text())["formula"])
+    ds = load_csv_dir(data)
+    lines = ["index,label,robustness"] + [
+        f"{i},{label},{robustness(phi, tr)!r}"
+        for i, (tr, label) in enumerate(zip(ds.traces, ds.labels))
+    ]
+    assert dump.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_learn_hard_box_cap_exits_1(flat_dataset_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(boundary, "HARD_BOX_CAP", 0)
+    code = main(["learn", "--data", str(flat_dataset_dir), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "error: boundary search exceeded the hard cap" in capsys.readouterr().err
 
 
 def test_learn_no_signatures_flag(flat_dataset_dir, tmp_path):

@@ -118,6 +118,13 @@ def test_domain_and_signal_errors():
         robustness(Atom("x", ">", Param("c")), t)
 
 
+def test_robustness_many_checks_every_signal_set():
+    # the trace lacking x is not the first one and has a shape of its own
+    traces = [Trace({"x": [1.0, 2.0]}, 1.0), Trace({"y": [1.0, 2.0]}, 1.0)]
+    with pytest.raises(UnknownSignalError, match="x"):
+        robustness_many(parse_formula("F[0,1](x > 0)"), traces)
+
+
 def test_robustness_many_matches_single_calls():
     rng = np.random.default_rng(11)
     traces = [random_trace(rng, ("x", "y"), max_samples=8) for _ in range(12)]

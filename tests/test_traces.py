@@ -105,6 +105,20 @@ def test_label_manifest(tmp_path):
         read_label_manifest(m)
 
 
+@pytest.mark.parametrize("header", ["filename,label", "file,label"])
+def test_label_manifest_header_and_line_numbers(tmp_path, header):
+    m = tmp_path / "labels.csv"
+    m.write_text(f"{header}\na.csv,1\n\nb.csv,0\n")
+    assert read_label_manifest(m) == [("a.csv", 1), ("b.csv", 0)]
+    # errors name the line as it appears in the file, past the header and blanks
+    m.write_text(f"{header}\na.csv,1\nb.csv,2\n")
+    with pytest.raises(DataFormatError, match=r"labels\.csv:3: label must be 0 or 1"):
+        read_label_manifest(m)
+    m.write_text(f"{header}\n\na.csv,1\n\nb.csv\n")
+    with pytest.raises(DataFormatError, match=r"labels\.csv:5: expected"):
+        read_label_manifest(m)
+
+
 def test_dataset_dir_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     traces = [Trace({"x": rng.standard_normal(9)}, 0.5) for _ in range(4)]
