@@ -4,7 +4,7 @@ Rising steps start low and climb to a high plateau; the label-0 traces
 (falling steps and assorted sinusoids) each imitate part of that behavior but
 never all of it.  Separating them takes a conjunction: start below a
 threshold AND eventually exceed another.  The search has to reach length-4
-templates, so this run takes a couple of minutes.
+templates, so this run takes about 40 seconds.
 """
 from stlmine import LearnerConfig, gen_steps_and_sinusoids, learn, mcr, split_dataset
 

@@ -90,7 +90,6 @@ class BoundaryQuery:
             raise ValueError(f"need 0 < diag_tol < delta, got diag_tol={diag_tol} delta={delta}")
         self.template = template
         self.space = space
-        self.traces = traces
         self.delta = delta
         self.diag_tol = diag_tol
         self.max_points = max_points

@@ -35,6 +35,18 @@ def _split_names(spec: str) -> list[str]:
 
 
 def cmd_learn(args) -> int:
+    try:
+        cfg = LearnerConfig(
+            threshold=args.threshold,
+            delta=args.delta,
+            max_length=args.max_length,
+            max_boundary_points=args.max_boundary_points,
+            mcr_mode=args.mcr,
+            use_signatures=not args.no_signatures,
+            signature=SignatureConfig(seed=args.seed),
+        )
+    except ValueError as e:
+        args.usage_error(str(e))
     ds = load_csv_dir(args.data, manifest=args.labels, require_both_classes=True)
     if args.signals:
         names = _split_names(args.signals)
@@ -49,16 +61,6 @@ def cmd_learn(args) -> int:
         train, test = split_dataset(ds, args.split, args.seed)
     else:
         train, test = ds, None
-
-    cfg = LearnerConfig(
-        threshold=args.threshold,
-        delta=args.delta,
-        max_length=args.max_length,
-        max_boundary_points=args.max_boundary_points,
-        mcr_mode=args.mcr,
-        use_signatures=not args.no_signatures,
-        signature=SignatureConfig(seed=args.seed),
-    )
     result = learn(train, Grammar.default(names), cfg)
 
     stats = {
@@ -141,7 +143,10 @@ def cmd_enumerate(args) -> int:
         print(f"{length}\t{template}")
         return CallbackResult.CONTINUE
 
-    report = enumerate_templates(grammar, args.max_length, show)
+    try:
+        report = enumerate_templates(grammar, args.max_length, show)
+    except ValueError as e:  # raised for a bad --max-length before anything is printed
+        args.usage_error(str(e))
     if not args.quiet:
         print(f"emitted {report.emitted} templates", file=sys.stderr)
     return 0
@@ -179,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--dump-robustness", default=None, metavar="CSV",
                     help="also write per-trace robustness of the learned formula")
     pl.add_argument("--quiet", action="store_true")
-    pl.set_defaults(func=cmd_learn)
+    pl.set_defaults(func=cmd_learn, usage_error=pl.error)
 
     pm = sub.add_parser("monitor", help="evaluate a concrete formula on one trace")
     pm.add_argument("--formula", required=True)
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--no-negation", action="store_true")
     pe.add_argument("--two-sided-intervals", action="store_true")
     pe.add_argument("--quiet", action="store_true")
-    pe.set_defaults(func=cmd_enumerate)
+    pe.set_defaults(func=cmd_enumerate, usage_error=pe.error)
 
     pg = sub.add_parser("gen-data", help="write a bundled synthetic dataset as CSV")
     pg.add_argument("--case", choices=sorted(GENERATORS), required=True)

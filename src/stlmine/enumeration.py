@@ -95,11 +95,10 @@ class EnumerationReport:
 
 
 class FormulaDB:
-    """Templates stored by length, plus an optional signature index."""
+    """Templates stored by length."""
 
-    def __init__(self, signatures=None):
+    def __init__(self):
         self.by_length: dict[int, list[Formula]] = {}
-        self.signatures = signatures
 
     def stored(self, length: int) -> list[Formula]:
         return self.by_length.get(length, [])

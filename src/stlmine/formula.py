@@ -6,6 +6,7 @@ satisfaction.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,9 +129,39 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula node: {phi!r}")
 
 
+def iter_nodes(phi: Formula) -> Iterator[Formula]:
+    """Every node of the tree in pre-order, the root first."""
+    # an explicit stack: nested ``yield from`` costs a generator per level
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += children(node)[::-1]
+
+
+def map_bounds(phi: Formula, fn: Callable[[Bound], Bound]) -> Formula:
+    """The same tree with every threshold and window end ``b`` replaced by ``fn(b)``."""
+    match phi:
+        case TrueF():
+            return phi
+        case Atom(sig, op, b):
+            return Atom(sig, op, fn(b))
+        case Not(c):
+            return Not(map_bounds(c, fn))
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            return type(phi)(map_bounds(l, fn), map_bounds(r, fn))
+        case Finally(iv, c) | Globally(iv, c):
+            iv = Interval(fn(iv.lo), fn(iv.hi), iv.lo_closed, iv.hi_closed)
+            return type(phi)(iv, map_bounds(c, fn))
+        case Until(iv, l, r):
+            iv = Interval(fn(iv.lo), fn(iv.hi), iv.lo_closed, iv.hi_closed)
+            return Until(iv, map_bounds(l, fn), map_bounds(r, fn))
+    raise TypeError(f"not a formula node: {phi!r}")
+
+
 def formula_length(phi: Formula) -> int:
     """Node count of the AST. Intervals and comparison bounds are not extra nodes."""
-    return 1 + sum(formula_length(c) for c in children(phi))
+    return sum(1 for _ in iter_nodes(phi))
 
 
 def _node_bounds(phi: Formula) -> tuple[Bound, ...]:
@@ -145,32 +176,13 @@ def _node_bounds(phi: Formula) -> tuple[Bound, ...]:
 
 def parameters(phi: Formula) -> list[str]:
     """Parameter names in order of first occurrence on a pre-order walk."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(node: Formula):
-        for b in _node_bounds(node):
-            if isinstance(b, Param) and b.name not in seen:
-                seen.add(b.name)
-                out.append(b.name)
-        for c in children(node):
-            walk(c)
-
-    walk(phi)
-    return out
+    return list(dict.fromkeys(
+        b.name for node in iter_nodes(phi) for b in _node_bounds(node) if isinstance(b, Param)
+    ))
 
 
 def signals_of(phi: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: Formula):
-        if isinstance(node, Atom):
-            out.add(node.signal)
-        for c in children(node):
-            walk(c)
-
-    walk(phi)
-    return out
+    return {node.signal for node in iter_nodes(phi) if isinstance(node, Atom)}
 
 
 def is_concrete(phi: Formula) -> bool:
@@ -183,33 +195,7 @@ def rename_params(phi: Formula, mapping: dict[str, str]) -> Formula:
             return Param(mapping[b.name])
         return b
 
-    def walk(node: Formula) -> Formula:
-        match node:
-            case TrueF():
-                return node
-            case Atom(sig, op, b):
-                return Atom(sig, op, rb(b))
-            case Not(c):
-                return Not(walk(c))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Implies(l, r):
-                return Implies(walk(l), walk(r))
-            case Finally(iv, c):
-                return Finally(_rename_iv(iv, rb), walk(c))
-            case Globally(iv, c):
-                return Globally(_rename_iv(iv, rb), walk(c))
-            case Until(iv, l, r):
-                return Until(_rename_iv(iv, rb), walk(l), walk(r))
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return walk(phi)
-
-
-def _rename_iv(iv: Interval, rb) -> Interval:
-    return Interval(rb(iv.lo), rb(iv.hi), iv.lo_closed, iv.hi_closed)
+    return map_bounds(phi, rb)
 
 
 def validate_formula(phi: Formula) -> None:
@@ -232,7 +218,7 @@ def validate_formula(phi: Formula) -> None:
             if iv.hi.value == iv.lo.value and not (iv.lo_closed and iv.hi_closed):
                 raise FormulaStructureError("point interval must be closed on both ends")
 
-    def walk(node: Formula):
+    for node in iter_nodes(phi):
         for b in _node_bounds(node):
             if isinstance(b, Param):
                 if b.name in seen:
@@ -243,10 +229,6 @@ def validate_formula(phi: Formula) -> None:
         match node:
             case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
                 check_interval(iv)
-        for c in children(node):
-            walk(c)
-
-    walk(phi)
 
 
 # ---------------------------------------------------------------------------

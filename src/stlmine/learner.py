@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryQuery
-from .enumeration import CallbackResult, FormulaDB, Grammar, enumerate_templates
+from .enumeration import CallbackResult, Grammar, enumerate_templates
 from .errors import DataFormatError, InstantiationError
 from .formula import Formula, infer_polarity
 from .monitor import robustness_many
@@ -49,6 +49,14 @@ class LearnerConfig:
             raise ValueError(f"unknown mcr mode {self.mcr_mode!r}")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if not 0 < self.diag_tol < self.delta < 1:
+            raise ValueError(
+                f"need 0 < diag_tol < delta < 1, got diag_tol={self.diag_tol} delta={self.delta}"
+            )
+        if self.max_boundary_points is not None and self.max_boundary_points < 1:
+            raise ValueError(
+                f"max_boundary_points must be >= 1, got {self.max_boundary_points}"
+            )
 
 
 @dataclass
@@ -167,7 +175,6 @@ def learn(
         grammar = Grammar.default(ds.signal_names)
     stats = LearnStats()
     signatures = SignatureIndex(cfg.signature, ds) if cfg.use_signatures else None
-    db = FormulaDB(signatures)
     hit: list[LearnedClassifier] = []
     t0 = time.perf_counter()
 
@@ -181,7 +188,7 @@ def learn(
             return CallbackResult.PRUNED
         return CallbackResult.CONTINUE
 
-    report = enumerate_templates(grammar, cfg.max_length, callback, db)
+    report = enumerate_templates(grammar, cfg.max_length, callback)
     stats.elapsed_s = time.perf_counter() - t0
     classifier = hit[0] if hit else None
     if classifier is not None:

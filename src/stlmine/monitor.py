@@ -81,16 +81,15 @@ def _bound(b: Bound, val: dict[str, float] | None) -> float:
     return val[b.name]
 
 
-def _window_offsets(iv: Interval, period: float, val) -> tuple[int, int]:
-    """Window endpoints as sample-index offsets, honouring open/closed ends.
+def _window_offsets(iv: Interval, period: float, val, t: float = 0.0) -> tuple[int, int]:
+    """Sample indices of the window t + I, honouring open/closed ends.
 
-    Returns (jlo, jhi); the window at grid index q is q+jlo .. q+jhi, which may
-    be empty (jhi < jlo).
+    With ``t`` measured from the grid start this gives absolute indices; with
+    the default ``t = 0`` it gives offsets, so the window at grid index q is
+    q+jlo .. q+jhi.  Returns (jlo, jhi), which may be empty (jhi < jlo).
     """
-    lo = _bound(iv.lo, val)
-    hi = _bound(iv.hi, val)
-    qlo = lo / period
-    qhi = hi / period
+    qlo = (t + _bound(iv.lo, val)) / period
+    qhi = (t + _bound(iv.hi, val)) / period
     if iv.lo_closed:
         jlo = math.ceil(qlo - _EPS)
     else:
@@ -182,21 +181,6 @@ def _rob_grid(node: Formula, b: _Batch, val: dict[str, float] | None = None) -> 
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-def _index_window(b: _Batch, t: float, iv: Interval, val) -> tuple[int, int]:
-    """Grid index range covered by t + I, clipped to the trace domain."""
-    qlo = (t + _bound(iv.lo, val) - b.start) / b.period
-    qhi = (t + _bound(iv.hi, val) - b.start) / b.period
-    if iv.lo_closed:
-        kmin = math.ceil(qlo - _EPS)
-    else:
-        kmin = math.floor(qlo + _EPS) + 1
-    if iv.hi_closed:
-        kmax = math.floor(qhi + _EPS)
-    else:
-        kmax = math.ceil(qhi - _EPS) - 1
-    return max(kmin, 0), min(kmax, b.n - 1)
-
-
 def _rob_at(
     node: Formula, b: _Batch, t: float, val: dict[str, float] | None = None
 ) -> np.ndarray:
@@ -223,17 +207,20 @@ def _rob_at(
         case Implies(l, r):
             return np.maximum(-_rob_at(l, b, t, val), _rob_at(r, b, t, val))
         case Finally(iv, child):
-            kmin, kmax = _index_window(b, t, iv, val)
+            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
+            kmax = min(kmax, b.n - 1)
             if kmin > kmax:
                 return np.full(b.k, -BIG)
             return _rob_grid(child, b, val)[:, kmin : kmax + 1].max(axis=1)
         case Globally(iv, child):
-            kmin, kmax = _index_window(b, t, iv, val)
+            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
+            kmax = min(kmax, b.n - 1)
             if kmin > kmax:
                 return np.full(b.k, BIG)
             return _rob_grid(child, b, val)[:, kmin : kmax + 1].min(axis=1)
         case Until(iv, l, r):
-            kmin, kmax = _index_window(b, t, iv, val)
+            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
+            kmax = min(kmax, b.n - 1)
             if kmin > kmax:
                 return np.full(b.k, -BIG)
             left = _rob_grid(l, b, val)

@@ -13,22 +13,18 @@ import numpy as np
 
 from .errors import DegenerateBoundsError, InstantiationError, UnknownSignalError
 from .formula import (
-    And,
     Atom,
     Bound,
     Const,
     Finally,
     Formula,
     Globally,
-    Implies,
-    Interval,
-    Not,
-    Or,
     Param,
     Polarity,
-    TrueF,
     Until,
     infer_polarity,
+    iter_nodes,
+    map_bounds,
 )
 from .traces import Dataset
 
@@ -117,42 +113,19 @@ def instantiate(template: Formula, valuation: Valuation, *, validate: bool = Tru
     monotone parameter boxes disable validation and rely on the evaluator's
     empty-window semantics instead.
     """
-
-    def subst_iv(iv: Interval) -> Interval:
-        lo = _subst_bound(iv.lo, valuation)
-        hi = _subst_bound(iv.hi, valuation)
-        if validate:
-            if lo.value < 0:
-                raise InstantiationError(f"interval lower bound {lo.value} is negative")
-            if hi.value < lo.value:
-                raise InstantiationError(
-                    f"interval [{lo.value}, {hi.value}] is ill-formed after substitution"
-                )
-        return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
-
-    def walk(node: Formula) -> Formula:
-        match node:
-            case TrueF():
-                return node
-            case Atom(sig, op, b):
-                return Atom(sig, op, _subst_bound(b, valuation))
-            case Not(c):
-                return Not(walk(c))
-            case And(l, r):
-                return And(walk(l), walk(r))
-            case Or(l, r):
-                return Or(walk(l), walk(r))
-            case Implies(l, r):
-                return Implies(walk(l), walk(r))
-            case Finally(iv, c):
-                return Finally(subst_iv(iv), walk(c))
-            case Globally(iv, c):
-                return Globally(subst_iv(iv), walk(c))
-            case Until(iv, l, r):
-                return Until(subst_iv(iv), walk(l), walk(r))
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return walk(template)
+    phi = map_bounds(template, lambda b: _subst_bound(b, valuation))
+    if validate:
+        for node in iter_nodes(phi):
+            match node:
+                case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
+                    lo, hi = iv.lo.value, iv.hi.value
+                    if lo < 0:
+                        raise InstantiationError(f"interval lower bound {lo} is negative")
+                    if hi < lo:
+                        raise InstantiationError(
+                            f"interval [{lo}, {hi}] is ill-formed after substitution"
+                        )
+    return phi
 
 
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
@@ -177,62 +150,26 @@ def default_bounds(
         polarity = infer_polarity(template)
     ranges = signal_ranges(ds)
     min_duration = min(tr.duration for tr in ds.traces)
-    if min_duration <= 0 and _has_time_params(template):
-        raise DegenerateBoundsError(
-            "time parameters need traces with at least two samples"
-        )
-
-    defs: list[ParamDef] = []
-    seen: set[str] = set()
-
-    def add(name: str, kind: ParamKind, lo: float, hi: float):
-        if name in seen:
-            return
-        seen.add(name)
-        defs.append(ParamDef(name, kind, lo, hi, polarity[name]))
-
-    def add_interval(iv: Interval):
-        for b in (iv.lo, iv.hi):
-            if isinstance(b, Param):
-                add(b.name, ParamKind.TIME, 0.0, min_duration)
-
-    def walk(node: Formula):
+    defs: dict[str, ParamDef] = {}
+    for node in iter_nodes(template):
         match node:
             case Atom(sig, _, Param(name)):
                 if sig not in ranges:
                     raise UnknownSignalError(f"dataset has no signal {sig!r}")
-                lo, hi = ranges[sig]
-                pad = VALUE_PAD_FRACTION * (hi - lo) if hi > lo else CONSTANT_PAD
-                add(name, ParamKind.VALUE, lo - pad, hi + pad)
-            case Finally(iv, c) | Globally(iv, c):
-                add_interval(iv)
-                walk(c)
-            case Until(iv, l, r):
-                add_interval(iv)
-                walk(l)
-                walk(r)
-            case Not(c):
-                walk(c)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                walk(l)
-                walk(r)
-
-    walk(template)
-    return ParamSpace(defs)
-
-
-def _has_time_params(template: Formula) -> bool:
-    match template:
-        case Finally(iv, c) | Globally(iv, c):
-            if isinstance(iv.lo, Param) or isinstance(iv.hi, Param):
-                return True
-            return _has_time_params(c)
-        case Until(iv, l, r):
-            if isinstance(iv.lo, Param) or isinstance(iv.hi, Param):
-                return True
-            return _has_time_params(l) or _has_time_params(r)
-        case Not(c):
-            return _has_time_params(c)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _has_time_params(l) or _has_time_params(r)
-    return False
+                if name not in defs:
+                    lo, hi = ranges[sig]
+                    pad = VALUE_PAD_FRACTION * (hi - lo) if hi > lo else CONSTANT_PAD
+                    defs[name] = ParamDef(
+                        name, ParamKind.VALUE, lo - pad, hi + pad, polarity[name]
+                    )
+            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
+                for b in (iv.lo, iv.hi):
+                    if isinstance(b, Param) and b.name not in defs:
+                        defs[b.name] = ParamDef(
+                            b.name, ParamKind.TIME, 0.0, min_duration, polarity[b.name]
+                        )
+    if min_duration <= 0 and any(p.kind is ParamKind.TIME for p in defs.values()):
+        raise DegenerateBoundsError(
+            "time parameters need traces with at least two samples"
+        )
+    return ParamSpace(list(defs.values()))

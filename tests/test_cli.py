@@ -77,6 +77,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "--max-length", "0"],
+        ["learn", "--threshold", "1.5"],
+        ["learn", "--delta", "0"],
+        ["learn", "--delta", "0.0005"],  # below the fixed bisection tolerance
+        ["learn", "--max-boundary-points", "0"],
+        ["learn", "--max-boundary-points", "-1"],
+        ["enumerate", "--signals", "x", "--max-length", "0"],
+    ],
+)
+def test_out_of_range_options_are_usage_errors(argv, flat_dataset_dir, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if argv[0] == "learn":
+        argv = argv + ["--data", str(flat_dataset_dir), "--out", str(out)]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert f"usage: stlmine {argv[0]}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_learn_writes_report(flat_dataset_dir, tmp_path, capsys):
     out = tmp_path / "result.json"
     code = main(["learn", "--data", str(flat_dataset_dir), "--out", str(out)])

@@ -148,6 +148,19 @@ def test_fuzz_against_bruteforce_at_offset_times():
             assert satisfies(phi, trace, t) == brute_bool(phi, trace, t)
 
 
+def test_fuzz_against_bruteforce_off_grid_with_shifted_start():
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        start = float(rng.choice([-1.5, 0.0, 0.25, 2.0]))
+        base = random_trace(rng, ("x",), max_samples=7)
+        trace = Trace({"x": base.values("x")}, base.period, start)
+        phi = random_concrete_formula(rng, ("x",), int(rng.integers(1, 6)), 4.0)
+        k = int(rng.integers(0, trace.n_samples))
+        frac = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
+        t = min(start + (k + frac) * trace.period, trace.end_time)
+        assert robustness(phi, trace, t) == brute_robustness(phi, trace, t)
+
+
 def test_negation_duality():
     rng = np.random.default_rng(13)
     for _ in range(300):
