@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InstantiationError, SearchLimitError
 from .formula import Formula, Polarity, parameters
-from .monitor import _rob_at, _stack, robustness_many
+from .monitor import _rob, _stack, robustness_many
 from .params import ParamSpace, Valuation, instantiate
 from .traces import Trace
 
@@ -32,6 +32,8 @@ HARD_BOX_CAP = 1_000_000
 
 def min_robustness(template: Formula, valuation: Valuation, traces: list[Trace]) -> float:
     """Smallest robustness of the instantiated template over the traces at t=0."""
+    if not traces:
+        raise ValueError("min_robustness needs at least one trace")
     phi = instantiate(template, valuation, validate=False)
     return float(robustness_many(phi, traces).min())
 
@@ -118,7 +120,7 @@ class BoundaryQuery:
         """Smallest robustness of the template at this point over the traces."""
         self.g_evaluations += 1
         val = self.space.to_valuation(vector)
-        return min(float(_rob_at(self.template, b, 0.0, val).min()) for b in self._batches)
+        return min(float(_rob(self.template, b, val, 0.0).min()) for b in self._batches)
 
     def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:
         hard = np.where(self._hard_is_high, box.hi, box.lo)

@@ -4,6 +4,13 @@ Evaluation happens on the sample grid: atoms use piecewise-constant hold, and
 temporal operators range over the sample times inside ``t + I`` intersected
 with the trace domain.  No interpolation between samples.
 
+One recursive evaluator computes robustness on a batch of same-shape traces in
+one of two modes: at every sample time, or at a single (possibly off-grid)
+time.  Operands of temporal operators always use the grid mode, whose window
+max/min is a sliding-window filter (as in Donzé, Ferrère and Maler, "Efficient
+Robust Monitoring for STL", CAV 2013); the single-time mode reduces only the
+one window it needs.
+
 Robustness follows the usual max/min semantics:
 
 * ``x > c`` and ``x >= c`` score ``x(t) - c``; the ``<`` forms score ``c - x(t)``
@@ -81,15 +88,16 @@ def _bound(b: Bound, val: dict[str, float] | None) -> float:
     return val[b.name]
 
 
-def _window_offsets(iv: Interval, period: float, val, t: float = 0.0) -> tuple[int, int]:
-    """Sample indices of the window t + I, honouring open/closed ends.
+def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
+    """Sample indices (jlo, jhi) of the window t + I, honouring open/closed
+    ends and clipped to the grid; the window is empty when jhi < jlo.
 
-    With ``t`` measured from the grid start this gives absolute indices; with
-    the default ``t = 0`` it gives offsets, so the window at grid index q is
-    q+jlo .. q+jhi.  Returns (jlo, jhi), which may be empty (jhi < jlo).
+    Given a time ``t`` these are absolute indices.  With ``t`` None they are
+    offsets: the window at grid index q is q+jlo .. q+jhi.
     """
-    qlo = (t + _bound(iv.lo, val)) / period
-    qhi = (t + _bound(iv.hi, val)) / period
+    t0 = 0.0 if t is None else t - b.start
+    qlo = (t0 + _bound(iv.lo, val)) / b.period
+    qhi = (t0 + _bound(iv.hi, val)) / b.period
     if iv.lo_closed:
         jlo = math.ceil(qlo - _EPS)
     else:
@@ -98,7 +106,7 @@ def _window_offsets(iv: Interval, period: float, val, t: float = 0.0) -> tuple[i
         jhi = math.floor(qhi + _EPS)
     else:
         jhi = math.ceil(qhi - _EPS) - 1
-    return max(jlo, 0), jhi
+    return max(jlo, 0), min(jhi, b.n - 1)
 
 
 def _shift_left(arr: np.ndarray, d: int, fill: float) -> np.ndarray:
@@ -112,12 +120,12 @@ def _shift_left(arr: np.ndarray, d: int, fill: float) -> np.ndarray:
 
 
 def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool) -> np.ndarray:
-    """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain."""
+    """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain.
+
+    Needs a non-empty window inside the grid: 0 <= jlo <= jhi < samples.
+    """
     k, n = arr.shape
     pad = -np.inf if largest else np.inf
-    if jhi < jlo or jlo > n - 1:
-        return np.full((k, n), -BIG if largest else BIG)
-    jhi = min(jhi, n - 1)  # samples past the end are domain-clipped anyway
     w = jhi - jlo + 1
     buf = np.full((k, n + w), pad)
     buf[:, : n - jlo] = arr[:, jlo:]
@@ -131,15 +139,11 @@ def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool) -> np.nda
 def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarray:
     """out[q] = max over j in [q+jlo, q+jhi] of min(a2[j], min(a1[q..j-1])).
 
-    The inner min over an empty range (j == q) is +BIG, matching the inf over
-    an empty set of sample times.
+    Needs 0 <= jlo <= jhi < samples.  The inner min over an empty range
+    (j == q) is +BIG, matching the inf over an empty set of sample times.
     """
-    k, n = a1.shape
-    if jhi < jlo or jlo > n - 1:
-        return np.full((k, n), -BIG)
-    jhi = min(jhi, n - 1)
-    best = np.full((k, n), -np.inf)
-    prefix_min = np.full((k, n), np.inf)  # min of a1[q .. q+d-1], starts empty
+    best = np.full(a1.shape, -np.inf)
+    prefix_min = np.full(a1.shape, np.inf)  # min of a1[q .. q+d-1], starts empty
     for d in range(jhi + 1):
         if d >= jlo:
             cand = np.minimum(_shift_left(a2, d, -np.inf), prefix_min)
@@ -148,90 +152,60 @@ def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarra
     return np.clip(best, -BIG, BIG)
 
 
-def _rob_grid(node: Formula, b: _Batch, val: dict[str, float] | None = None) -> np.ndarray:
-    """Robustness of node at every sample time; shape (traces, samples).
+def _rob(
+    node: Formula, b: _Batch, val: dict[str, float] | None = None, t: float | None = None
+) -> np.ndarray:
+    """Robustness of node at every sample time, shape (traces, samples), or,
+    given a (possibly off-grid) time ``t``, at that time only, shape (traces,).
 
+    Operands of temporal operators are always evaluated on the grid; at a
+    time ``t`` the window is then reduced over its own samples only.
     Parameters of a template take their values from ``val``.
     """
+    shape = (b.k, b.n) if t is None else b.k
     match node:
         case TrueF():
-            return np.full((b.k, b.n), BIG)
+            return np.full(shape, BIG)
         case Atom(sig, op, bound):
             c = _bound(bound, val)
             vals = b.signals[sig]
+            if t is not None:  # the sample that holds at t
+                idx = math.floor((t - b.start) / b.period + _EPS)
+                vals = vals[:, min(max(idx, 0), b.n - 1)]
             out = vals - c if op in (">", ">=") else c - vals
             return np.clip(out, -BIG, BIG)
         case Not(child):
-            return -_rob_grid(child, b, val)
+            return -_rob(child, b, val, t)
         case And(l, r):
-            return np.minimum(_rob_grid(l, b, val), _rob_grid(r, b, val))
+            return np.minimum(_rob(l, b, val, t), _rob(r, b, val, t))
         case Or(l, r):
-            return np.maximum(_rob_grid(l, b, val), _rob_grid(r, b, val))
+            return np.maximum(_rob(l, b, val, t), _rob(r, b, val, t))
         case Implies(l, r):
-            return np.maximum(-_rob_grid(l, b, val), _rob_grid(r, b, val))
-        case Finally(iv, child):
-            jlo, jhi = _window_offsets(iv, b.period, val)
-            return _window_reduce(_rob_grid(child, b, val), jlo, jhi, largest=True)
-        case Globally(iv, child):
-            jlo, jhi = _window_offsets(iv, b.period, val)
-            return _window_reduce(_rob_grid(child, b, val), jlo, jhi, largest=False)
+            return np.maximum(-_rob(l, b, val, t), _rob(r, b, val, t))
+        case Finally(iv, child) | Globally(iv, child):
+            largest = isinstance(node, Finally)
+            jlo, jhi = _window(iv, b, val, t)
+            if jhi < jlo:
+                return np.full(shape, -BIG if largest else BIG)
+            arr = _rob(child, b, val)
+            if t is None:
+                return _window_reduce(arr, jlo, jhi, largest)
+            win = arr[:, jlo : jhi + 1]
+            return win.max(axis=1) if largest else win.min(axis=1)
         case Until(iv, l, r):
-            jlo, jhi = _window_offsets(iv, b.period, val)
-            return _until_grid(_rob_grid(l, b, val), _rob_grid(r, b, val), jlo, jhi)
-    raise TypeError(f"cannot evaluate {node!r}")
-
-
-def _rob_at(
-    node: Formula, b: _Batch, t: float, val: dict[str, float] | None = None
-) -> np.ndarray:
-    """Robustness at one (possibly off-grid) time; shape (traces,).
-
-    Parameters of a template take their values from ``val``.
-    """
-    match node:
-        case TrueF():
-            return np.full(b.k, BIG)
-        case Atom(sig, op, bound):
-            c = _bound(bound, val)
-            idx = math.floor((t - b.start) / b.period + _EPS)
-            idx = min(max(idx, 0), b.n - 1)
-            vals = b.signals[sig][:, idx]
-            out = vals - c if op in (">", ">=") else c - vals
-            return np.clip(out, -BIG, BIG)
-        case Not(child):
-            return -_rob_at(child, b, t, val)
-        case And(l, r):
-            return np.minimum(_rob_at(l, b, t, val), _rob_at(r, b, t, val))
-        case Or(l, r):
-            return np.maximum(_rob_at(l, b, t, val), _rob_at(r, b, t, val))
-        case Implies(l, r):
-            return np.maximum(-_rob_at(l, b, t, val), _rob_at(r, b, t, val))
-        case Finally(iv, child):
-            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
-            kmax = min(kmax, b.n - 1)
-            if kmin > kmax:
-                return np.full(b.k, -BIG)
-            return _rob_grid(child, b, val)[:, kmin : kmax + 1].max(axis=1)
-        case Globally(iv, child):
-            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
-            kmax = min(kmax, b.n - 1)
-            if kmin > kmax:
-                return np.full(b.k, BIG)
-            return _rob_grid(child, b, val)[:, kmin : kmax + 1].min(axis=1)
-        case Until(iv, l, r):
-            kmin, kmax = _window_offsets(iv, b.period, val, t - b.start)
-            kmax = min(kmax, b.n - 1)
-            if kmin > kmax:
-                return np.full(b.k, -BIG)
-            left = _rob_grid(l, b, val)
-            right = _rob_grid(r, b, val)
+            jlo, jhi = _window(iv, b, val, t)
+            if jhi < jlo:
+                return np.full(shape, -BIG)
+            left, right = _rob(l, b, val), _rob(r, b, val)
+            if t is None:
+                return _until_grid(left, right, jlo, jhi)
             k_t = max(math.ceil((t - b.start) / b.period - _EPS), 0)
-            start = min(k_t, kmin)
+            start = min(k_t, jlo)
             # inner[:, j - start] = min of left over [start, j-1], +inf when empty
-            inner = np.empty((b.k, kmax - start + 1))
+            inner = np.empty((b.k, jhi - start + 1))
             inner[:, 0] = np.inf
-            np.minimum.accumulate(left[:, start:kmax], axis=1, out=inner[:, 1:])
-            best = np.minimum(right[:, kmin : kmax + 1], inner[:, kmin - start :])
+            np.minimum.accumulate(left[:, start:jhi], axis=1, out=inner[:, 1:])
+            best = np.minimum(right[:, jlo : jhi + 1], inner[:, jlo - start :])
             return np.clip(best.max(axis=1), -BIG, BIG)
     raise TypeError(f"cannot evaluate {node!r}")
 
@@ -267,7 +241,7 @@ def robustness(phi: Formula, trace: Trace, t: float = 0.0) -> float:
     """Quantitative satisfaction margin of a concrete formula at time t."""
     _check_concrete(phi)
     [(_, batch)] = _stack(phi, [trace], t)
-    return float(_rob_at(phi, batch, t)[0])
+    return float(_rob(phi, batch, t=t)[0])
 
 
 def satisfies(phi: Formula, trace: Trace, t: float = 0.0) -> bool:
@@ -278,10 +252,10 @@ def satisfies(phi: Formula, trace: Trace, t: float = 0.0) -> bool:
 def robustness_many(phi: Formula, traces: list[Trace], t: float = 0.0) -> np.ndarray:
     """Robustness of one formula on many traces, grouping same-shape traces so
     each group is evaluated in a single vectorized pass."""
+    _check_concrete(phi)
     if not traces:
         return np.empty(0)
-    _check_concrete(phi)
     out = np.empty(len(traces))
     for idx, batch in _stack(phi, traces, t):
-        out[idx] = _rob_at(phi, batch, t)
+        out[idx] = _rob(phi, batch, t=t)
     return out

@@ -129,12 +129,8 @@ def instantiate(template: Formula, valuation: Valuation, *, validate: bool = Tru
 
 
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
-    out = {}
-    for name in ds.signal_names:
-        lo = min(float(tr.values(name).min()) for tr in ds.traces)
-        hi = max(float(tr.values(name).max()) for tr in ds.traces)
-        out[name] = (lo, hi)
-    return out
+    """(min, max) of each signal over all traces of the dataset."""
+    return dict(ds.signal_ranges)
 
 
 def default_bounds(

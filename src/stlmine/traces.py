@@ -11,6 +11,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,9 @@ TIMESTAMP_RTOL = 1e-6
 
 # relative slack when snapping query times onto the sample grid
 _EPS = 1e-9
+
+# tolerated relative difference between the periods of traces in one dataset
+_PERIOD_RTOL = 1e-9
 
 
 class Trace:
@@ -129,7 +133,7 @@ class Dataset:
                 raise DataFormatError(
                     f"signal mismatch across traces: {tr.signal_names} vs {ref.signal_names}"
                 )
-            if not math.isclose(tr.period, ref.period, rel_tol=1e-9):
+            if not math.isclose(tr.period, ref.period, rel_tol=_PERIOD_RTOL):
                 raise DataFormatError(
                     f"period mismatch across traces: {tr.period} vs {ref.period}"
                 )
@@ -147,6 +151,17 @@ class Dataset:
     @property
     def period(self) -> float:
         return self.traces[0].period
+
+    @cached_property
+    def signal_ranges(self) -> dict[str, tuple[float, float]]:
+        """(min, max) of each signal over all traces, computed once."""
+        return {
+            name: (
+                min(float(tr.values(name).min()) for tr in self.traces),
+                max(float(tr.values(name).max()) for tr in self.traces),
+            )
+            for name in self.signal_names
+        }
 
     def with_label(self, label: int) -> list[Trace]:
         return [tr for tr, lab in zip(self.traces, self.labels) if lab == label]
@@ -245,7 +260,9 @@ def load_csv_dir(path, manifest=None, require_both_classes=False) -> Dataset:
 
     Dataset order follows manifest order.  Files in the directory that the
     manifest does not mention are ignored.  Single-sample traces adopt the
-    period of their siblings so mixed-length directories stay consistent.
+    period of the first multi-sample trace, when all multi-sample periods
+    agree within the dataset's tolerance, so mixed-length directories stay
+    consistent.
     """
     manifest = manifest if manifest is not None else os.path.join(path, "labels.csv")
     entries = read_label_manifest(manifest)
@@ -259,9 +276,10 @@ def load_csv_dir(path, manifest=None, require_both_classes=False) -> Dataset:
         traces.append(load_trace_csv(fpath))
         labels.append(label)
         names.append(name)
-    periods = {tr.period for tr in traces if tr.n_samples > 1}
-    if len(periods) == 1:
-        common = periods.pop()
+    periods = [tr.period for tr in traces if tr.n_samples > 1]
+    # timestamps like 0.3, 0.4, 0.5 give a period a few ulps off 0.1
+    if periods and all(math.isclose(p, periods[0], rel_tol=_PERIOD_RTOL) for p in periods):
+        common = periods[0]
         traces = [
             Trace({s: tr.values(s) for s in tr.signal_names}, common, tr.start_time)
             if tr.n_samples == 1

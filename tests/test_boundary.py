@@ -45,6 +45,11 @@ def test_min_robustness_over_traces():
     assert min_robustness(phi_template, {"c": 4.0}, traces) == -2.0
 
 
+def test_min_robustness_needs_a_trace():
+    with pytest.raises(ValueError, match="at least one trace"):
+        min_robustness(parse_formula("x > $c"), {"c": 1.0}, [])
+
+
 def test_one_dimensional_query_emits_single_midpoint():
     # x = 5 constantly, so "x > c" flips exactly at c = 5
     tpl = parse_formula("x > $c")

@@ -7,6 +7,7 @@ import pytest
 from oracles import brute_bool, brute_robustness, random_concrete_formula, random_trace
 from stlmine.errors import FormulaStructureError, TraceDomainError, UnknownSignalError
 from stlmine.formula import (
+    And,
     Atom,
     Const,
     Finally,
@@ -118,6 +119,11 @@ def test_domain_and_signal_errors():
         robustness(Atom("x", ">", Param("c")), t)
 
 
+def test_robustness_many_rejects_a_template_even_without_traces():
+    with pytest.raises(FormulaStructureError):
+        robustness_many(parse_formula("x > $c"), [])
+
+
 def test_robustness_many_checks_every_signal_set():
     # the trace lacking x is not the first one and has a shape of its own
     traces = [Trace({"x": [1.0, 2.0]}, 1.0), Trace({"y": [1.0, 2.0]}, 1.0)]
@@ -159,6 +165,48 @@ def test_fuzz_against_bruteforce_off_grid_with_shifted_start():
         frac = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
         t = min(start + (k + frac) * trace.period, trace.end_time)
         assert robustness(phi, trace, t) == brute_robustness(phi, trace, t)
+
+
+def test_window_ends_close_to_sample_times():
+    # window ends k*period off by 0, 1e-12, 5e-10 or 1e-6 periods: the first
+    # two offsets fall inside the 1e-9 snapping slack, the last two outside
+    rng = np.random.default_rng(18)
+    offsets = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-6, -1e-6]
+
+    def interval(period):
+        ends = sorted(
+            max(int(rng.integers(0, 5)) + float(rng.choice(offsets)), 0.0) * period
+            for _ in range(2)
+        )
+        closed = [bool(rng.random() < 0.7) for _ in range(2)]
+        if ends[0] == ends[1]:
+            closed = [True, True]
+        return Interval(Const(ends[0]), Const(ends[1]), *closed)
+
+    def atom():
+        op = str(rng.choice([">", "<"]))
+        return Atom("x", op, Const(float(rng.integers(-8, 9)) * 0.25))
+
+    def temporal(period):
+        kind = rng.choice(["F", "G", "U"])
+        if kind == "U":
+            return Until(interval(period), atom(), atom())
+        return (Finally if kind == "F" else Globally)(interval(period), atom())
+
+    for _ in range(3000):
+        period = float(rng.choice([0.1, 0.25, 0.3, 0.5, 1.0]))
+        start = float(rng.choice([-1.5, 0.0, 0.25, 0.7, 2.0]))
+        n = int(rng.integers(1, 9))
+        trace = Trace({"x": rng.integers(-8, 9, size=n) * 0.25}, period, start)
+        phi = temporal(period)
+        shape = rng.choice(["root", "and", "nested"])
+        if shape == "and":
+            phi = And(atom(), phi)
+        elif shape == "nested":
+            phi = (Finally if rng.random() < 0.5 else Globally)(interval(period), phi)
+        frac = float(rng.choice([0.0, 0.0, 0.25, 0.5]))
+        t = min(start + (int(rng.integers(0, n)) + frac) * period, trace.end_time)
+        assert robustness(phi, trace, t) == brute_robustness(phi, trace, t), (phi, trace, t)
 
 
 def test_negation_duality():

@@ -15,7 +15,7 @@ from stlmine.formula import (
     Param,
     Polarity,
 )
-from stlmine.params import ParamKind, default_bounds, instantiate
+from stlmine.params import ParamKind, default_bounds, instantiate, signal_ranges
 from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
 
@@ -77,6 +77,14 @@ def test_bounds_multi_signal_ranges_are_per_signal():
     assert (a.lo, a.hi) == (-1.0, 11.0)
     assert b.lo == pytest.approx(99.9)
     assert b.hi == pytest.approx(101.1)
+
+
+def test_signal_ranges_cached_per_dataset_and_copied():
+    ds = ds_of([0.0, 2.0], [-1.0, 1.0])
+    ranges = signal_ranges(ds)
+    assert ranges == {"x": (-1.0, 2.0)}
+    ranges["x"] = (0.0, 0.0)  # the caller's copy, not the dataset's cache
+    assert signal_ranges(ds) == {"x": (-1.0, 2.0)}
 
 
 def test_bounds_errors():

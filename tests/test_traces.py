@@ -140,6 +140,17 @@ def test_load_csv_dir_missing_file(tmp_path):
         load_csv_dir(tmp_path)
 
 
+def test_load_csv_dir_single_sample_with_float_rounded_periods(tmp_path):
+    # 0.4 - 0.3 is 0.10000000000000003, a few ulps off the 0.1 of a.csv
+    (tmp_path / "a.csv").write_text("time,x\n0.0,1\n0.1,2\n0.2,3\n")
+    (tmp_path / "b.csv").write_text("time,x\n0.3,1\n0.4,2\n0.5,3\n")
+    (tmp_path / "c.csv").write_text("time,x\n0.0,5\n")
+    (tmp_path / "labels.csv").write_text("a.csv,1\nb.csv,0\nc.csv,1\n")
+    ds = load_csv_dir(tmp_path)
+    assert ds.traces[2].period == ds.traces[0].period == 0.1
+    assert ds.traces[1].period != 0.1
+
+
 def test_load_csv_dir_single_class_flag(tmp_path):
     t = Trace({"x": [1.0, 2.0]}, 1.0)
     save_csv_dir(Dataset([t, t], [1, 1]), tmp_path / "d")
