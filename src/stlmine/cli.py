@@ -45,6 +45,8 @@ def cmd_learn(args) -> int:
             use_signatures=not args.no_signatures,
             signature=SignatureConfig(seed=args.seed),
         )
+        if args.split is not None and not 0 < args.split < 1:
+            raise ValueError(f"--split must be in (0,1), got {args.split}")
     except ValueError as e:
         args.usage_error(str(e))
     ds = load_csv_dir(args.data, manifest=args.labels, require_both_classes=True)
@@ -55,12 +57,7 @@ def cmd_learn(args) -> int:
             raise DataFormatError(f"--signals names not in the data: {', '.join(unknown)}")
     else:
         names = list(ds.signal_names)
-    if args.split is not None:
-        if not 0 < args.split < 1:
-            raise DataFormatError(f"--split must be in (0,1), got {args.split}")
-        train, test = split_dataset(ds, args.split, args.seed)
-    else:
-        train, test = ds, None
+    train, test = (ds, None) if args.split is None else split_dataset(ds, args.split, args.seed)
     result = learn(train, Grammar.default(names), cfg)
 
     stats = {

@@ -15,10 +15,11 @@ import numpy as np
 
 from .boundary import BoundaryQuery
 from .enumeration import CallbackResult, Grammar, enumerate_templates
-from .errors import DataFormatError, InstantiationError
-from .formula import Formula, infer_polarity
-from .monitor import robustness_many
-from .params import Valuation, default_bounds, instantiate
+from .errors import DataFormatError, TraceDomainError
+from .formula import Formula, TrueF
+from .monitor import _Batch, _check_concrete, _rob, _stack
+from .monitor import robustness_many  # noqa: F401  (patched by perfbench/tracer.py)
+from .params import Valuation, _window_error, default_bounds, instantiate
 from .signatures import SignatureConfig, SignatureIndex
 from .traces import Dataset
 
@@ -94,6 +95,27 @@ class LearnResult:
         return self.classifier is not None
 
 
+def _label_batches(ds: Dataset, phi: Formula = TrueF()) -> tuple[list[_Batch], list[_Batch]]:
+    """Label-0 and label-1 traces stacked for scoring at t=0; each must contain t=0."""
+    for i, tr in enumerate(ds.traces):
+        if not tr.contains_time(0.0):
+            name = ds.names[i] if ds.names else f"trace {i}"
+            raise TraceDomainError(
+                f"{name} covers [{tr.start_time}, {tr.end_time}]; traces must contain t=0")
+    return tuple([b for _, b in _stack(phi, ds.with_label(lab), 0.0)] for lab in (0, 1))
+
+
+def _count_wrong(phi: Formula, batches, val: Valuation | None, mode: str) -> int:
+    """The traces ``mcr`` counts as wrong; a template reads its parameters from ``val``."""
+    neg, pos = batches
+    wrong = sum(np.count_nonzero(_rob(phi, b, val, 0.0) > 0) for b in neg)
+    if mode == MCR_SYMMETRIC:
+        wrong += sum(b.k - np.count_nonzero(_rob(phi, b, val, 0.0) > 0) for b in pos)
+    elif mode != MCR_ONESIDED:
+        raise ValueError(f"unknown mcr mode {mode!r}")
+    return int(wrong)  # a Python int, so that the rate is a Python float
+
+
 def mcr(phi: Formula, ds: Dataset, mode: str = MCR_ONESIDED) -> float:
     """Misclassification rate of a concrete formula on a labeled dataset.
 
@@ -104,14 +126,8 @@ def mcr(phi: Formula, ds: Dataset, mode: str = MCR_ONESIDED) -> float:
     """
     if ds.n == 0:
         raise DataFormatError("cannot score an empty dataset")
-    sat = robustness_many(phi, ds.traces, 0.0) > 0
-    labels = np.asarray(ds.labels)
-    wrong = sat & (labels == 0)
-    if mode == MCR_SYMMETRIC:
-        wrong = wrong | (~sat & (labels == 1))
-    elif mode != MCR_ONESIDED:
-        raise ValueError(f"unknown mcr mode {mode!r}")
-    return float(wrong.sum()) / ds.n
+    _check_concrete(phi)
+    return _count_wrong(phi, _label_batches(ds, phi), None, mode) / ds.n
 
 
 def try_classifier(
@@ -127,9 +143,12 @@ def try_classifier(
     threshold; a duplicate fingerprint short-circuits with ``pruned`` set and
     no boundary evaluations.
     """
-    stats = stats if stats is not None else LearnStats()
-    polarity = infer_polarity(template)
-    space = default_bounds(template, ds, polarity)
+    return _fit(template, ds, _label_batches(ds), cfg, signatures, stats or LearnStats())
+
+
+def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
+    """``try_classifier`` on the training traces already stacked by label."""
+    space = default_bounds(template, ds)
     if signatures is not None and not signatures.check_and_insert(template, ds, space):
         stats.templates_pruned += 1
         return TryResult(pruned=True)
@@ -137,28 +156,18 @@ def try_classifier(
     positives = ds.with_label(1)
     if not positives:
         raise DataFormatError("boundary fitting needs at least one label-1 trace")
-    query = BoundaryQuery(
-        template,
-        space,
-        positives,
-        delta=cfg.delta,
-        diag_tol=cfg.diag_tol,
-        max_points=cfg.max_boundary_points,
-    )
-    tested = 0
+    query = BoundaryQuery(template, space, positives, delta=cfg.delta, diag_tol=cfg.diag_tol,
+                          max_points=cfg.max_boundary_points)
     for valuation in query:
         stats.boundary_points += 1
-        tested += 1
-        try:
-            phi = instantiate(template, valuation)
-        except InstantiationError:
-            # an inverted two-sided window: legal point, degenerate formula
-            continue
-        score = mcr(phi, ds, cfg.mcr_mode)
+        if _window_error(template, valuation):
+            continue  # an inverted two-sided window: legal point, degenerate formula
+        score = _count_wrong(template, batches, valuation, cfg.mcr_mode) / ds.n
         if score < cfg.threshold:
+            phi = instantiate(template, valuation)
             classifier = LearnedClassifier(phi, score, template, valuation, stats)
-            return TryResult(classifier=classifier, points_tested=tested)
-    return TryResult(points_tested=tested)
+            return TryResult(classifier=classifier, points_tested=query.points_emitted)
+    return TryResult(points_tested=query.points_emitted)
 
 
 def learn(
@@ -173,14 +182,15 @@ def learn(
         raise DataFormatError("learning needs traces of both labels (0 and 1)")
     if grammar is None:
         grammar = Grammar.default(ds.signal_names)
+    t0 = time.perf_counter()
+    batches = _label_batches(ds)  # before the probes are stacked, to name a bad file
     stats = LearnStats()
     signatures = SignatureIndex(cfg.signature, ds) if cfg.use_signatures else None
     hit: list[LearnedClassifier] = []
-    t0 = time.perf_counter()
 
     def callback(template: Formula, length: int) -> CallbackResult:
         stats.templates_tried += 1
-        res = try_classifier(template, ds, cfg, signatures, stats)
+        res = _fit(template, ds, batches, cfg, signatures, stats)
         if res.classifier is not None:
             hit.append(res.classifier)
             return CallbackResult.STOP

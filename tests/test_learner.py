@@ -1,7 +1,8 @@
 """Classifier search: scoring modes, template fitting, end-to-end learning."""
 import pytest
 
-from stlmine.errors import DataFormatError
+from stlmine import learner
+from stlmine.errors import DataFormatError, TraceDomainError
 from stlmine.formula import TrueF, formula_length
 from stlmine.learner import (
     MCR_ONESIDED,
@@ -178,3 +179,17 @@ def test_learn_symmetric_mode_scores_symmetrically():
     assert result.found
     phi = result.classifier.formula
     assert result.classifier.mcr == mcr(phi, ds, MCR_SYMMETRIC) == 0.0
+
+
+def test_learn_rejects_a_trace_without_time_zero_before_any_template(monkeypatch):
+    late = Trace({"x": [0.0, 0.0, 0.0]}, period=1.0, start_time=0.5)
+    ds = Dataset([flat(5.0), late], [1, 0])
+
+    def no_template(*args):
+        raise AssertionError("a template was tried")
+
+    monkeypatch.setattr(learner, "default_bounds", no_template)
+    with pytest.raises(TraceDomainError, match="trace 1 covers .*must contain t=0"):
+        learn(ds)
+    with pytest.raises(TraceDomainError, match="late.csv"):
+        learn(Dataset(ds.traces, ds.labels, ["early.csv", "late.csv"]))

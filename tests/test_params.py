@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stlmine.errors import DegenerateBoundsError, InstantiationError
+from stlmine.errors import DegenerateBoundsError, InstantiationError, UnknownSignalError
 from stlmine.formula import (
     And,
     Atom,
@@ -97,6 +97,9 @@ def test_bounds_errors():
         default_bounds(parse_formula("F[0,$t](x > 0)"), single)
     with pytest.raises(Exception):
         default_bounds(parse_formula("y > $c"), ds_of([0.0, 1.0]))
+    # an atom with a fixed threshold needs its signal in the data too
+    with pytest.raises(UnknownSignalError, match="'y'"):
+        default_bounds(parse_formula("x > $c and y > 3"), ds_of([0.0, 1.0]))
 
 
 def test_instantiate_substitutes_everywhere():
