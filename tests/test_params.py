@@ -97,7 +97,9 @@ def test_bounds_errors():
         default_bounds(parse_formula("F[0,$t](x > 0)"), single)
     with pytest.raises(Exception):
         default_bounds(parse_formula("y > $c"), ds_of([0.0, 1.0]))
-    # an atom with a fixed threshold needs its signal in the data too
+
+
+def test_bounds_check_the_signal_of_a_constant_threshold_atom():
     with pytest.raises(UnknownSignalError, match="'y'"):
         default_bounds(parse_formula("x > $c and y > 3"), ds_of([0.0, 1.0]))
 
