@@ -86,6 +86,20 @@ class BoundaryQuery:
     ):
         if not traces:
             raise ValueError("boundary search needs at least one trace")
+        self._setup(template, space, delta, diag_tol, max_points, keep_log)
+        # checked and stacked here once, instead of on every g call
+        self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
+
+    @classmethod
+    def _from_batches(cls, template, space, batches, *, delta, diag_tol, max_points=None,
+                      keep_log=False):
+        """A query over label-1 traces already checked and stacked by the caller."""
+        query = cls.__new__(cls)
+        query._setup(template, space, delta, diag_tol, max_points, keep_log)
+        query._batches = batches
+        return query
+
+    def _setup(self, template, space, delta, diag_tol, max_points, keep_log):
         if not (0 < delta < 1):
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if not (0 < diag_tol < delta):
@@ -98,11 +112,10 @@ class BoundaryQuery:
         self.points_emitted = 0
         self.g_evaluations = 0
         self.log = RegionLog() if keep_log else None
-        missing = [name for name in parameters(template) if name not in space.names]
+        self._names = space.names
+        missing = [name for name in parameters(template) if name not in self._names]
         if missing:
             raise InstantiationError(f"no value for parameter ${missing[0]}")
-        # checked and stacked here once, instead of on every g call
-        self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
 
         lo = space.lows()
         hi = space.highs()
@@ -119,7 +132,7 @@ class BoundaryQuery:
     def g(self, vector: np.ndarray) -> float:
         """Smallest robustness of the template at this point over the traces."""
         self.g_evaluations += 1
-        val = self.space.to_valuation(vector)
+        val = dict(zip(self._names, np.asarray(vector, dtype=float).tolist()))
         return min(float(_rob(self.template, b, val, 0.0).min()) for b in self._batches)
 
     def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:

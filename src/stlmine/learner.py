@@ -153,11 +153,10 @@ def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
         stats.templates_pruned += 1
         return TryResult(pruned=True)
 
-    positives = ds.with_label(1)
-    if not positives:
+    if not batches[1]:
         raise DataFormatError("boundary fitting needs at least one label-1 trace")
-    query = BoundaryQuery(template, space, positives, delta=cfg.delta, diag_tol=cfg.diag_tol,
-                          max_points=cfg.max_boundary_points)
+    query = BoundaryQuery._from_batches(template, space, batches[1], delta=cfg.delta,
+                                        diag_tol=cfg.diag_tol, max_points=cfg.max_boundary_points)
     for valuation in query:
         stats.boundary_points += 1
         if _window_error(template, valuation):

@@ -24,6 +24,12 @@ Robustness follows the usual max/min semantics:
   under G.  BIG is a finite, documented sentinel rather than IEEE infinity so
   that downstream arithmetic stays well-behaved.
 
+Every value is clipped to [-BIG, BIG], but only where a clip can bite: an
+atom clips its margin only when the batch's largest ``|x|`` plus ``|c|``
+exceeds BIG, and a grid window that lies wholly past the last sample scores
+the sentinel directly.  Every other window holds at least one sample, whose
+value is already within bounds, so the results equal clipping everywhere.
+
 A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
 """
@@ -63,7 +69,7 @@ _EPS = 1e-9
 class _Batch:
     """Several same-shape traces stacked for vectorized evaluation."""
 
-    __slots__ = ("signals", "period", "start", "n", "k")
+    __slots__ = ("signals", "absmax", "period", "start", "n", "k")
 
     def __init__(self, traces: list[Trace]):
         ref = traces[0]
@@ -75,6 +81,8 @@ class _Batch:
             name: np.stack([tr.values(name) for tr in traces])
             for name in ref.signal_names
         }
+        # largest |value| per signal, so that atoms clip only when they can reach BIG
+        self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
 
     @staticmethod
     def group_key(tr: Trace):
@@ -109,31 +117,20 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     return max(jlo, 0), min(jhi, b.n - 1)
 
 
-def _shift_left(arr: np.ndarray, d: int, fill: float) -> np.ndarray:
-    """arr[:, q] -> arr[:, q+d], padding past the end with fill."""
-    if d == 0:
-        return arr
-    out = np.full_like(arr, fill)
-    if d < arr.shape[1]:
-        out[:, : arr.shape[1] - d] = arr[:, d:]
-    return out
-
-
 def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool) -> np.ndarray:
     """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain.
 
     Needs a non-empty window inside the grid: 0 <= jlo <= jhi < samples.
     """
     k, n = arr.shape
-    pad = -np.inf if largest else np.inf
     w = jhi - jlo + 1
-    buf = np.full((k, n + w), pad)
-    buf[:, : n - jlo] = arr[:, jlo:]
+    out = np.empty((k, n))
+    out[:, n - jlo :] = -BIG if largest else BIG  # windows wholly past the grid
     filt = maximum_filter1d if largest else minimum_filter1d
-    out = filt(buf, size=w, axis=1, mode="constant", cval=pad)
-    # centered filter -> window [j - w//2, j + (w-1) - w//2]; start q needs j = q + w//2
-    out = out[:, w // 2 : w // 2 + n]
-    return np.clip(out, -BIG, BIG)
+    # origin -(w//2) turns the centered filter into the forward window [j, j+w-1]
+    filt(arr[:, jlo:], size=w, axis=1, output=out[:, : n - jlo], mode="constant",
+         cval=-np.inf if largest else np.inf, origin=-(w // 2))
+    return out
 
 
 def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarray:
@@ -141,15 +138,20 @@ def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarra
 
     Needs 0 <= jlo <= jhi < samples.  The inner min over an empty range
     (j == q) is +BIG, matching the inf over an empty set of sample times.
+    Works time-major, so that a shift by d samples is the contiguous slice [d:].
     """
-    best = np.full(a1.shape, -np.inf)
-    prefix_min = np.full(a1.shape, np.inf)  # min of a1[q .. q+d-1], starts empty
+    k, n = a1.shape
+    left, right = np.ascontiguousarray(a1.T), np.ascontiguousarray(a2.T)
+    out = np.full((n, k), -BIG)  # stays -BIG where the window lies past the grid
+    prefix = np.full((n, k), np.inf)  # min of left[q .. q+d-1], starts empty
+    cand = np.empty((n, k))
     for d in range(jhi + 1):
+        live = n - d  # start times q with q + d still on the grid
         if d >= jlo:
-            cand = np.minimum(_shift_left(a2, d, -np.inf), prefix_min)
-            np.maximum(best, cand, out=best)
-        np.minimum(prefix_min, _shift_left(a1, d, np.inf), out=prefix_min)
-    return np.clip(best, -BIG, BIG)
+            np.minimum(right[d:], prefix[:live], out=cand[:live])
+            np.maximum(out[:live], cand[:live], out=out[:live])
+        np.minimum(prefix[:live], left[d:], out=prefix[:live])
+    return out.T
 
 
 def _rob(
@@ -160,7 +162,8 @@ def _rob(
 
     Operands of temporal operators are always evaluated on the grid; at a
     time ``t`` the window is then reduced over its own samples only.
-    Parameters of a template take their values from ``val``.
+    Parameters of a template take their values from ``val``.  Every result
+    is a fresh array, so a node may overwrite its left child's result.
     """
     shape = (b.k, b.n) if t is None else b.k
     match node:
@@ -173,15 +176,22 @@ def _rob(
                 idx = math.floor((t - b.start) / b.period + _EPS)
                 vals = vals[:, min(max(idx, 0), b.n - 1)]
             out = vals - c if op in (">", ">=") else c - vals
-            return np.clip(out, -BIG, BIG, out=out)  # in place: one temporary, not two
+            if b.absmax[sig] + abs(c) > BIG:  # else |out| <= |x| + |c| rounds to <= BIG
+                np.clip(out, -BIG, BIG, out=out)
+            return out
         case Not(child):
-            return -_rob(child, b, val, t)
+            out = _rob(child, b, val, t)
+            return np.negative(out, out=out)
         case And(l, r):
-            return np.minimum(_rob(l, b, val, t), _rob(r, b, val, t))
+            out = _rob(l, b, val, t)
+            return np.minimum(out, _rob(r, b, val, t), out=out)
         case Or(l, r):
-            return np.maximum(_rob(l, b, val, t), _rob(r, b, val, t))
+            out = _rob(l, b, val, t)
+            return np.maximum(out, _rob(r, b, val, t), out=out)
         case Implies(l, r):
-            return np.maximum(-_rob(l, b, val, t), _rob(r, b, val, t))
+            out = _rob(l, b, val, t)
+            np.negative(out, out=out)
+            return np.maximum(out, _rob(r, b, val, t), out=out)
         case Finally(iv, child) | Globally(iv, child):
             largest = isinstance(node, Finally)
             jlo, jhi = _window(iv, b, val, t)
@@ -206,7 +216,7 @@ def _rob(
             inner[:, 0] = np.inf
             np.minimum.accumulate(left[:, start:jhi], axis=1, out=inner[:, 1:])
             best = np.minimum(right[:, jlo : jhi + 1], inner[:, jlo - start :])
-            return np.clip(best.max(axis=1), -BIG, BIG)
+            return best.max(axis=1)
     raise TypeError(f"cannot evaluate {node!r}")
 
 

@@ -323,7 +323,7 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
     train_idx.sort()
     test_idx.sort()
     if not test_idx:
-        raise ValueError("split leaves the test set empty")
+        raise DataFormatError("split leaves the test set empty")
 
     def take(indices):
         return Dataset(

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from stlmine.boundary import BoundaryQuery, min_robustness
+from stlmine.datagen import gen_steps_and_sinusoids
+from stlmine.enumeration import FormulaDB, Grammar, enumerate_templates
 from stlmine.errors import InstantiationError, UnknownSignalError
 from stlmine.formula import Polarity
+from stlmine.learner import _label_batches
 from stlmine.params import ParamDef, ParamKind, ParamSpace, default_bounds
 from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
@@ -155,3 +158,20 @@ def test_query_needs_every_template_parameter():
     tpl = parse_formula("F[0,$tau](x > $c)")
     with pytest.raises(InstantiationError, match=r"\$tau"):
         BoundaryQuery(tpl, space_1d(0.0, 10.0), [ramp_trace()])
+
+
+def test_query_on_shared_stacks_matches_a_query_on_traces():
+    # learn hands its label-1 stacks to the query instead of the traces
+    ds = gen_steps_and_sinusoids(0)
+    _, positives = _label_batches(ds)
+    db = FormulaDB()
+    enumerate_templates(Grammar.default(["x"]), max_length=3, db=db)
+    templates = [t for length in sorted(db.by_length) for t in db.by_length[length]]
+    assert len(templates) > 20
+    for template in templates:
+        space = default_bounds(template, ds)
+        opts = dict(delta=0.01, diag_tol=1e-3, max_points=40)
+        direct = BoundaryQuery(template, space, ds.with_label(1), **opts)
+        shared = BoundaryQuery._from_batches(template, space, positives, **opts)
+        assert list(shared) == list(direct), template
+        assert shared.g_evaluations == direct.g_evaluations, template

@@ -218,6 +218,17 @@ def test_learn_bad_split_and_signals(flat_dataset_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_learn_split_leaving_no_test_trace_exits_1(tmp_path, capsys):
+    ds = Dataset([Trace({"x": [5.0, 5.0]}, 1.0), Trace({"x": [0.0, 0.0]}, 1.0)], [1, 0])
+    data = tmp_path / "one_per_label"
+    save_csv_dir(ds, data)
+    out = tmp_path / "r.json"
+    assert main(["learn", "--data", str(data), "--out", str(out), "--split", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert "error: split leaves the test set empty" in captured.err
+    assert not out.exists()
+
+
 def test_learn_trace_missing_time_zero_names_the_file(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_bool, brute_robustness, random_concrete_formula, random_trace
+from stlmine.boundary import BoundaryQuery
 from stlmine.errors import FormulaStructureError, TraceDomainError, UnknownSignalError
 from stlmine.formula import (
     And,
@@ -19,6 +20,7 @@ from stlmine.formula import (
     Until,
 )
 from stlmine.monitor import BIG, robustness, robustness_many, satisfies
+from stlmine.params import default_bounds, instantiate
 from stlmine.parser import parse_formula
 
 
@@ -26,7 +28,7 @@ def tr(values, period=1.0):
     return Trace({"x": np.asarray(values, dtype=float)}, period)
 
 
-from stlmine.traces import Trace  # noqa: E402
+from stlmine.traces import Dataset, Trace  # noqa: E402
 
 
 def test_atom_margin():
@@ -233,3 +235,75 @@ def test_window_growth_is_monotone():
         g_narrow = robustness(Globally(Interval(Const(0.0), Const(hi)), child), trace)
         g_wide = robustness(Globally(Interval(Const(0.0), Const(wider)), child), trace)
         assert g_wide <= g_narrow
+
+
+def _closed(lo, hi):
+    return Interval(Const(lo), Const(hi), True, True)
+
+
+def _near_big_cases(a, b):
+    """Atoms, and windows that start past t (jlo > 0) and run off the grid."""
+    return [
+        a,
+        b,
+        Finally(_closed(3, 12), a),
+        Globally(_closed(2, 20), b),
+        Until(_closed(2, 15), a, b),
+        Globally(_closed(0, 20), Until(_closed(3, 6), a, b)),
+        Finally(_closed(1, 20), Globally(_closed(4, 9), a)),
+        Globally(_closed(0, 20), Not(Finally(_closed(5, 30), b))),
+    ]
+
+
+def test_values_and_thresholds_near_big_saturate_like_bruteforce():
+    # |x| up to 2*BIG and |c| up to 1.5*BIG, so margins pass BIG only in some
+    # atoms; a small-valued trace has its own batch, where only |c| can bite
+    rng = np.random.default_rng(21)
+    lattice = [-2e9, -1.6e9, -1e9, -6e8, -3.0, 0.0, 3.0, 6e8, 1e9, 1.6e9, 2e9]
+    traces = [tr(rng.choice(lattice, size=n)) for n in (9, 9, 9, 6, 6)]
+    traces.append(tr(rng.integers(-4, 5, size=7) * 0.75))
+    thresholds = [-1.5e9, -5e8, 0.0, 5e8, 1.5e9]
+    for c1 in thresholds:
+        for c2 in thresholds:
+            for phi in _near_big_cases(Atom("x", ">", Const(c1)), Atom("x", "<", Const(c2))):
+                for t in (0.0, 2.0, 5.0):
+                    want = [brute_robustness(phi, trace, t) for trace in traces]
+                    assert robustness_many(phi, traces, t).tolist() == want, (phi, t)
+                    assert [robustness(phi, trace, t) for trace in traces] == want, (phi, t)
+    for c in (-np.inf, np.inf):  # an infinite threshold always clips
+        for phi in (Atom("x", ">", Const(c)), Finally(_closed(3, 12), Atom("x", "<", Const(c)))):
+            want = [brute_robustness(phi, trace) for trace in traces]
+            assert robustness_many(phi, traces).tolist() == want
+
+    templates = _near_big_cases(Atom("x", ">", Param("a")), Atom("x", "<", Param("b")))
+    ds = Dataset(traces, [1] * len(traces))
+    for template in templates:
+        space = default_bounds(template, ds)
+        query = BoundaryQuery(template, space, traces)
+        for c1 in thresholds:
+            for c2 in thresholds:
+                valuation = {name: {"a": c1, "b": c2}[name] for name in space.names}
+                phi = instantiate(template, valuation)
+                want = min(brute_robustness(phi, trace) for trace in traces)
+                assert query.g([valuation[name] for name in space.names]) == want
+
+
+def test_until_on_long_traces_matches_bruteforce():
+    # windows of up to 50 samples on 60- and 64-sample traces: the grid
+    # Until under F and G shifts its operands by up to 50 samples
+    rng = np.random.default_rng(22)
+    traces = [tr(rng.integers(-20, 21, size=n) * 0.25) for n in (64, 64, 60)]
+    left, right = Atom("x", "<", Const(1.0)), Atom("x", ">", Const(-1.0))
+    for lo, hi in ((3, 50), (1, 40), (10, 20), (0, 50), (25, 49)):
+        until = Until(_closed(lo, hi), left, right)
+        cases = [(until, t) for t in (0.0, 20.0, 45.0)]
+        # F[0,0] reads single grid columns: the last ones whose window reaches
+        # the grid (n - jlo - 1) and the first ones past it (n - jlo)
+        columns = {0, 13, 40} | {n - lo - d for n in (60, 64) for d in (0, 1)}
+        cases += [(Finally(_closed(0, 0), until), float(q)) for q in sorted(columns)]
+        cases += [(Finally(_closed(0, 8), until), 0.0), (Globally(_closed(2, 9), until), 0.0),
+                  (Globally(_closed(52, 70), Not(until)), 0.0)]
+        for phi, t in cases:
+            group = [trace for trace in traces if trace.contains_time(t)]
+            want = [brute_robustness(phi, trace, t) for trace in group]
+            assert robustness_many(phi, group, t).tolist() == want, (phi, t)
