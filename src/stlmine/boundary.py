@@ -91,11 +91,10 @@ class BoundaryQuery:
         self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
 
     @classmethod
-    def _from_batches(cls, template, space, batches, *, delta, diag_tol, max_points=None,
-                      keep_log=False):
+    def _from_batches(cls, template, space, batches, *, delta, diag_tol, max_points):
         """A query over label-1 traces already checked and stacked by the caller."""
         query = cls.__new__(cls)
-        query._setup(template, space, delta, diag_tol, max_points, keep_log)
+        query._setup(template, space, delta, diag_tol, max_points, keep_log=False)
         query._batches = batches
         return query
 
@@ -132,7 +131,11 @@ class BoundaryQuery:
     def g(self, vector: np.ndarray) -> float:
         """Smallest robustness of the template at this point over the traces."""
         self.g_evaluations += 1
-        val = dict(zip(self._names, np.asarray(vector, dtype=float).tolist()))
+        vec = np.asarray(vector, dtype=float)
+        if vec.shape != (len(self._names),):
+            raise InstantiationError(
+                f"expected a {len(self._names)}-vector, got shape {vec.shape}")
+        val = dict(zip(self._names, vec.tolist()))
         return min(float(_rob(self.template, b, val, 0.0).min()) for b in self._batches)
 
     def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,8 @@ def test_argument_validation():
         BoundaryQuery(tpl, sp, [const_trace(5.0)], delta=0.01, diag_tol=0.01)
     with pytest.raises(ValueError):
         BoundaryQuery(tpl, sp, [const_trace(5.0)], diag_tol=0.0)
+    with pytest.raises(InstantiationError, match="1-vector"):
+        BoundaryQuery(tpl, sp, [const_trace(5.0)]).g([1.0, 2.0])
 
 
 def test_min_robustness_over_traces():
