@@ -125,6 +125,9 @@ class BoundaryQuery:
         self._hard_is_high = np.array(
             [p.polarity is Polarity.DECREASING for p in space.params]
         )
+        # sub-box index bits of the two corner boxes _split discards
+        self._hard_mask = sum(1 << d for d, high in enumerate(self._hard_is_high) if high)
+        self._easy_mask = (1 << space.dim) - 1 - self._hard_mask
 
     # ------------------------------------------------------------------
 
@@ -148,11 +151,7 @@ class BoundaryQuery:
 
     def __next__(self) -> Valuation:
         if self.max_points is not None and self.points_emitted >= self.max_points:
-            # keep budget-stopped boxes visible to the log instead of dropping them
-            if self.log is not None:
-                while self._queue:
-                    self.log.unexplored.append(self._queue.popleft())
-            self._queue.clear()
+            self._flush_queue()
             raise StopIteration
         while self._queue:
             self._boxes_processed += 1
@@ -190,10 +189,6 @@ class BoundaryQuery:
 
     def _split(self, box: _Box, point: np.ndarray) -> None:
         m = self.space.dim
-        hard_mask = int(
-            sum(1 << d for d in range(m) if self._hard_is_high[d])
-        )
-        easy_mask = (1 << m) - 1 - hard_mask
         for mask in range(1 << m):
             sub_lo = box.lo.copy()
             sub_hi = box.hi.copy()
@@ -203,11 +198,11 @@ class BoundaryQuery:
                 else:
                     sub_hi[d] = point[d]
             sub = _Box(sub_lo, sub_hi)
-            if mask == hard_mask:
+            if mask == self._hard_mask:
                 if self.log is not None:
                     self.log.invalid.append(sub)
                 continue
-            if mask == easy_mask:
+            if mask == self._easy_mask:
                 if self.log is not None:
                     self.log.valid.append(sub)
                 continue
@@ -220,6 +215,11 @@ class BoundaryQuery:
         """Move any still-queued boxes into the log and return it."""
         if self.log is None:
             raise ValueError("query was created without keep_log")
-        while self._queue:
-            self.log.unexplored.append(self._queue.popleft())
+        self._flush_queue()
         return self.log
+
+    def _flush_queue(self) -> None:
+        # keep unvisited boxes visible to the log instead of dropping them
+        if self.log is not None:
+            self.log.unexplored.extend(self._queue)
+        self._queue.clear()

@@ -1,8 +1,8 @@
 """Command-line front end: learn, monitor, enumerate, gen-data.
 
 Exit codes: 0 on success (including a learn run that finds no classifier,
-which still writes a structured report), 2 on usage errors, 1 on data or
-file-format errors.  All randomness in a run flows from the single --seed.
+which still writes a structured report), 2 on usage errors, 1 on data,
+file-format or file-system errors.  All randomness in a run flows from the single --seed.
 """
 from __future__ import annotations
 
@@ -32,6 +32,13 @@ from .datagen import GENERATORS
 
 def _split_names(spec: str) -> list[str]:
     return [s.strip() for s in spec.split(",") if s.strip()]
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only non-negative integer seeds."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def cmd_learn(args) -> int:
@@ -172,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--max-length", type=int, default=5)
     pl.add_argument("--threshold", type=float, default=0.1)
     pl.add_argument("--delta", type=float, default=0.01)
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--seed", type=_seed, default=0)
     pl.add_argument("--no-signatures", action="store_true", help="disable duplicate pruning")
     pl.add_argument("--mcr", choices=[MCR_ONESIDED, MCR_SYMMETRIC], default=MCR_ONESIDED)
     pl.add_argument("--split", type=float, default=None, help="train fraction for a held-out split")
@@ -200,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen-data", help="write a bundled synthetic dataset as CSV")
     pg.add_argument("--case", choices=sorted(GENERATORS), required=True)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=_seed, default=0)
     pg.add_argument("--out", required=True, help="output directory")
     pg.add_argument("--quiet", action="store_true")
     pg.set_defaults(func=cmd_gen_data)
@@ -211,10 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StlmineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (StlmineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

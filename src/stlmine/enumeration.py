@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Callable
 
 from .formula import (
@@ -32,8 +33,7 @@ from .formula import (
     And,
     Param,
     Until,
-    parameters,
-    rename_params,
+    map_bounds,
 )
 
 UNARY_OPS = ("not", "F", "G")
@@ -108,22 +108,15 @@ class FormulaDB:
 
 
 def freshen(template: Formula) -> Formula:
-    """Rename parameters to p1, p2, ... in pre-order."""
-    mapping = {name: f"p{i + 1}" for i, name in enumerate(parameters(template))}
-    return rename_params(template, mapping)
+    """Name parameters p1, p2, ... by position in pre-order, one name per position."""
+    ids = count(1)
+    return map_bounds(template, lambda b: Param(f"p{next(ids)}") if isinstance(b, Param) else b)
 
 
 def _fresh_interval(two_sided: bool) -> Interval:
     if two_sided:
         return Interval(Param("tl"), Param("th"))
     return Interval(Const(0.0), Param("t"))
-
-
-def _parallel_rename(left: Formula, right: Formula) -> tuple[Formula, Formula]:
-    # keep operand parameter sets disjoint before the final freshen pass
-    lmap = {name: f"l_{i}" for i, name in enumerate(parameters(left))}
-    rmap = {name: f"r_{i}" for i, name in enumerate(parameters(right))}
-    return rename_params(left, lmap), rename_params(right, rmap)
 
 
 def apply_unary(op: str, operand: Formula, grammar: Grammar) -> Formula | None:
@@ -136,7 +129,6 @@ def apply_unary(op: str, operand: Formula, grammar: Grammar) -> Formula | None:
             return None
         return Not(operand)
     iv = _fresh_interval(grammar.two_sided_intervals)
-    operand = rename_params(operand, {n: f"c_{i}" for i, n in enumerate(parameters(operand))})
     if op == "F":
         return Finally(iv, operand)
     if op == "G":
@@ -145,7 +137,6 @@ def apply_unary(op: str, operand: Formula, grammar: Grammar) -> Formula | None:
 
 
 def apply_binary(op: str, left: Formula, right: Formula, grammar: Grammar) -> Formula:
-    left, right = _parallel_rename(left, right)
     if op == "or":
         return Or(left, right)
     if op == "and":

@@ -140,7 +140,11 @@ def iter_nodes(phi: Formula) -> Iterator[Formula]:
 
 
 def map_bounds(phi: Formula, fn: Callable[[Bound], Bound]) -> Formula:
-    """The same tree with every threshold and window end ``b`` replaced by ``fn(b)``."""
+    """The same tree with every threshold and window end ``b`` replaced by ``fn(b)``.
+
+    ``fn`` is called in pre-order, window ends before the operands, which is
+    the order ``parameters`` lists them; ``enumeration.freshen`` relies on it.
+    """
     match phi:
         case TrueF():
             return phi
@@ -187,15 +191,6 @@ def signals_of(phi: Formula) -> set[str]:
 
 def is_concrete(phi: Formula) -> bool:
     return not parameters(phi)
-
-
-def rename_params(phi: Formula, mapping: dict[str, str]) -> Formula:
-    def rb(b: Bound) -> Bound:
-        if isinstance(b, Param) and b.name in mapping:
-            return Param(mapping[b.name])
-        return b
-
-    return map_bounds(phi, rb)
 
 
 def validate_formula(phi: Formula) -> None:

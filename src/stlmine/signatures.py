@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Formula, TrueF
-from .monitor import BIG, _rob, _stack
+from .monitor import _rob, _stack
 from .monitor import robustness  # noqa: F401  (patched by perfbench/tracer.py)
 from .params import ParamSpace, default_bounds
 from .params import instantiate  # noqa: F401  (patched by perfbench/tracer.py)
@@ -87,7 +87,6 @@ class SignatureIndex:
         for j, v in enumerate(vals):
             for idx, batch in self._batches:
                 mat[idx, j] = _rob(template, batch, v, 0.0)
-        mat = np.clip(mat, -BIG, BIG)
         q = np.round(mat / cfg.quantum).astype(np.int64)
         return (space.dim, q.shape, q.tobytes())
 

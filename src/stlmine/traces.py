@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -178,12 +179,21 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+@contextmanager
+def _utf8_csv(path):
+    """A CSV reader over a UTF-8 file; other bytes raise a DataFormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_trace_csv(path) -> Trace:
     """Read one trace file. The sampling period is taken from the timestamps;
     a single-row file gets period 1.0 by convention."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    with _utf8_csv(path) as reader:
+        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if not rows:
         raise DataFormatError(f"{path}: empty trace file")
     header = [c.strip() for c in rows[0]]
@@ -232,8 +242,7 @@ def save_trace_csv(trace: Trace, path) -> None:
 
 
 def read_label_manifest(path) -> list[tuple[str, int]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _utf8_csv(path) as reader:
         # (file line number, row) so errors point at the line as it appears
         rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
     if not rows:

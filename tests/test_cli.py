@@ -87,12 +87,16 @@ def test_usage_errors_exit_2(capsys):
         ["learn", "--max-boundary-points", "0"],
         ["learn", "--max-boundary-points", "-1"],
         ["enumerate", "--signals", "x", "--max-length", "0"],
+        ["learn", "--seed", "-1"],  # numpy rejects negative seeds
+        ["gen-data", "--case", "steps", "--seed", "-1"],
     ],
 )
 def test_out_of_range_options_are_usage_errors(argv, flat_dataset_dir, tmp_path, capsys):
     out = tmp_path / "r.json"
     if argv[0] == "learn":
         argv = argv + ["--data", str(flat_dataset_dir), "--out", str(out)]
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", str(out)]
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
@@ -207,6 +211,22 @@ def test_learn_data_errors_exit_1(tmp_path, capsys):
     # missing directory
     assert main(["learn", "--data", str(tmp_path / "nope"), "--out", "r.json"]) == 1
     capsys.readouterr()
+    # other OSErrors: the report path is a directory, a manifest row names a
+    # directory, and gen-data's output directory is an existing file
+    ds = Dataset([Trace({"x": [5.0, 5.0]}, 1.0), Trace({"x": [0.0, 0.0]}, 1.0)], [1, 0])
+    good = tmp_path / "good"
+    save_csv_dir(ds, good)
+    assert main(["learn", "--data", str(good), "--out", str(tmp_path), "--quiet"]) == 1
+    (good / "sub").mkdir()
+    (good / "labels.csv").write_text("file,label\ntrace_000.csv,1\nsub,0\n")
+    assert main(["learn", "--data", str(good), "--out", str(tmp_path / "r.json")]) == 1
+    assert main(["gen-data", "--case", "steps", "--out", str(good / "labels.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
+    # a manifest that is not UTF-8
+    (good / "labels.csv").write_bytes(b"\xff\xfetrace_000.csv,1\n")
+    assert main(["learn", "--data", str(good), "--out", str(tmp_path / "r.json")]) == 1
+    assert f"error: {good / 'labels.csv'}: not UTF-8" in capsys.readouterr().err
 
 
 def test_learn_bad_split_and_signals(flat_dataset_dir, tmp_path, capsys):
@@ -270,6 +290,9 @@ def test_monitor_rejects_bad_formulas(tmp_path, capsys):
     assert "parameters" in capsys.readouterr().err
     assert main(["monitor", "--formula", "x > 1", "--trace", str(tmp_path / "no.csv")]) == 1
     capsys.readouterr()
+    trace.write_bytes(b"\xff\xfe" + TRACE_CSV.encode())
+    assert main(["monitor", "--formula", "x > 1", "--trace", str(trace)]) == 1
+    assert f"error: {trace}: not UTF-8" in capsys.readouterr().err
 
 
 def test_enumerate_prints_length_and_template(capsys):

@@ -8,8 +8,9 @@ from stlmine.enumeration import (
     FormulaDB,
     Grammar,
     enumerate_templates,
+    freshen,
 )
-from stlmine.formula import parameters
+from stlmine.formula import And, Atom, Const, Finally, Interval, Param, parameters, validate_formula
 from stlmine.parser import parse_formula
 
 
@@ -75,15 +76,28 @@ def test_emission_order_and_fresh_parameters():
     assert not report.stopped and report.pruned == 0
 
 
-def test_parameters_are_preorder_consecutive():
-    g = Grammar.default(["x"], skip_complement_negation=False)
+@pytest.mark.parametrize(
+    "signals, two_sided",
+    [(["x"], False), (["x"], True), (["x", "y"], False), (["x", "y"], True)],
+    ids=["x", "x-two-sided", "xy", "xy-two-sided"],
+)
+def test_parameters_are_preorder_consecutive(signals, two_sided):
+    g = Grammar.default(signals, two_sided_intervals=two_sided, skip_complement_negation=False)
 
     def cb(tpl, length):
         names = parameters(tpl)
         assert names == [f"p{i + 1}" for i in range(len(names))]
+        validate_formula(tpl)  # no name at two positions
         return CallbackResult.CONTINUE
 
-    enumerate_templates(g, 3, callback=cb)
+    assert enumerate_templates(g, 4, callback=cb).emitted > 200
+
+
+def test_freshen_gives_every_position_its_own_name():
+    shared = And(Atom("x", ">", Param("p1")), Atom("x", "<", Param("p1")))
+    assert str(freshen(shared)) == "x > $p1 and x < $p2"
+    window = Finally(Interval(Const(0.0), Param("c")), Atom("x", ">", Param("c")))
+    assert str(freshen(window)) == "F[0,$p1](x > $p2)"
 
 
 def test_no_structural_duplicates():

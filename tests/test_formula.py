@@ -23,7 +23,6 @@ from stlmine.formula import (
     infer_polarity,
     is_concrete,
     parameters,
-    rename_params,
     signals_of,
     validate_formula,
 )
@@ -59,13 +58,6 @@ def test_signals_and_concreteness():
     assert signals_of(phi) == {"x", "y"}
     assert not is_concrete(phi)
     assert is_concrete(Atom("x", ">", Const(0)))
-
-
-def test_rename_params():
-    phi = Finally(iv(0, "t"), Atom("x", ">", Param("c")))
-    out = rename_params(phi, {"t": "p1", "c": "p2"})
-    assert parameters(out) == ["p1", "p2"]
-    assert parameters(phi) == ["t", "c"]  # original untouched
 
 
 def test_validate_rejects_duplicate_params():

@@ -89,6 +89,9 @@ def test_load_trace_csv_errors(tmp_path):
     p.write_text("time,x\n1,5\n0,6\n")
     with pytest.raises(DataFormatError):
         load_trace_csv(p)  # decreasing timestamps
+    p.write_bytes("time,x\n0,1\n".encode("utf-16"))
+    with pytest.raises(DataFormatError, match=r"bad\.csv: not UTF-8"):
+        load_trace_csv(p)
 
 
 def test_label_manifest(tmp_path):
@@ -102,6 +105,9 @@ def test_label_manifest(tmp_path):
         read_label_manifest(m)
     m.write_text("a.csv\n")
     with pytest.raises(DataFormatError):
+        read_label_manifest(m)
+    m.write_bytes("a.csv,1\n".encode("utf-16"))
+    with pytest.raises(DataFormatError, match=r"labels\.csv: not UTF-8"):
         read_label_manifest(m)
 
 
