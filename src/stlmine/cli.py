@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .enumeration import CallbackResult, Grammar, enumerate_templates
+from .enumeration import UNARY_OPS, CallbackResult, Grammar, enumerate_templates
 from .errors import DataFormatError, FormulaSyntaxError, StlmineError
 from .formula import is_concrete
 from .learner import (
@@ -73,27 +73,16 @@ def cmd_learn(args) -> int:
         "boundary_points": result.stats.boundary_points,
         "elapsed_ms": round(result.stats.elapsed_s * 1000.0, 3),
     }
-    if result.found:
-        c = result.classifier
-        payload = {
-            "found": True,
-            "formula": str(c.formula),
-            "template": str(c.template),
-            "valuation": {k: float(v) for k, v in c.valuation.items()},
-            "mcr_train": c.mcr,
-            "mcr_test": mcr(c.formula, test, cfg.mcr_mode) if test is not None else None,
-            "stats": stats,
-        }
-    else:
-        payload = {
-            "found": False,
-            "formula": None,
-            "template": None,
-            "valuation": None,
-            "mcr_train": None,
-            "mcr_test": None,
-            "stats": stats,
-        }
+    c = result.classifier
+    payload = {
+        "found": result.found,
+        "formula": str(c.formula) if c else None,
+        "template": str(c.template) if c else None,
+        "valuation": {k: float(v) for k, v in c.valuation.items()} if c else None,
+        "mcr_train": c.mcr if c else None,
+        "mcr_test": mcr(c.formula, test, cfg.mcr_mode) if c and test is not None else None,
+        "stats": stats,
+    }
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     if args.dump_robustness and result.found:
@@ -137,11 +126,12 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    unary_ops = tuple(op for op in UNARY_OPS if op != "not") if args.no_negation else UNARY_OPS
     grammar = Grammar.default(
-        _split_names(args.signals), two_sided_intervals=args.two_sided_intervals
+        _split_names(args.signals),
+        unary_ops=unary_ops,
+        two_sided_intervals=args.two_sided_intervals,
     )
-    if args.no_negation:
-        grammar.unary_ops = tuple(op for op in grammar.unary_ops if op != "not")
 
     def show(template, length):
         print(f"{length}\t{template}")

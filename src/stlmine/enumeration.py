@@ -20,23 +20,21 @@ from itertools import count
 from typing import Callable
 
 from .formula import (
+    BINARY,
     COMPLEMENT,
+    TEMPORAL,
     Atom,
     Const,
-    Finally,
     Formula,
-    Globally,
-    Implies,
     Interval,
     Not,
-    Or,
-    And,
     Param,
     Until,
     map_bounds,
 )
 
-UNARY_OPS = ("not", "F", "G")
+# emission order; BINARY_OPS is not in the binding order of formula.BINARY
+UNARY_OPS = ("not", *TEMPORAL)
 BINARY_OPS = ("or", "and", "U", "implies")
 
 
@@ -128,24 +126,13 @@ def apply_unary(op: str, operand: Formula, grammar: Grammar) -> Formula | None:
         ):
             return None
         return Not(operand)
-    iv = _fresh_interval(grammar.two_sided_intervals)
-    if op == "F":
-        return Finally(iv, operand)
-    if op == "G":
-        return Globally(iv, operand)
-    raise ValueError(f"unknown unary operator {op!r}")
+    return TEMPORAL[op](_fresh_interval(grammar.two_sided_intervals), operand)
 
 
 def apply_binary(op: str, left: Formula, right: Formula, grammar: Grammar) -> Formula:
-    if op == "or":
-        return Or(left, right)
-    if op == "and":
-        return And(left, right)
-    if op == "implies":
-        return Implies(left, right)
     if op == "U":
         return Until(_fresh_interval(grammar.two_sided_intervals), left, right)
-    raise ValueError(f"unknown binary operator {op!r}")
+    return BINARY[op](left, right)
 
 
 def enumerate_templates(

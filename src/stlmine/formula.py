@@ -118,6 +118,13 @@ class Until(Formula):
     right: Formula
 
 
+# Each connective's keyword, for the parser, the printer and the enumerator.
+# Until is infix with an interval and handled on its own by all three.
+TEMPORAL = {"F": Finally, "G": Globally}
+# from the loosest binding to the tightest; all associate to the left
+BINARY = {"implies": Implies, "or": Or, "and": And}
+
+
 def children(phi: Formula) -> tuple[Formula, ...]:
     match phi:
         case TrueF() | Atom():
@@ -193,26 +200,32 @@ def is_concrete(phi: Formula) -> bool:
     return not parameters(phi)
 
 
+def interval_error(iv: Interval) -> str | None:
+    """Why the window's concrete ends are ill-formed, else None.
+
+    A well-formed window has 0 <= lo <= hi, and a point window is closed on
+    both ends.  An end that is still a parameter is not judged.
+    """
+    lo = iv.lo.value if isinstance(iv.lo, Const) else None
+    hi = iv.hi.value if isinstance(iv.hi, Const) else None
+    if lo is not None and lo < 0:
+        return f"interval lower bound {lo} is negative"
+    if lo is None or hi is None:
+        return None
+    if hi < lo:
+        return f"interval upper bound {hi} below lower bound {lo}"
+    if hi == lo and not (iv.lo_closed and iv.hi_closed):
+        return "point interval must be closed on both ends"
+    return None
+
+
 def validate_formula(phi: Formula) -> None:
     """Check structural invariants.
 
-    Every parameter id must occur at exactly one position, and concrete
-    intervals must satisfy 0 <= lo <= hi with a point interval closed on
-    both ends.
+    Every parameter id must occur at exactly one position, and every window
+    must pass ``interval_error``.
     """
     seen: set[str] = set()
-
-    def check_interval(iv: Interval):
-        if isinstance(iv.lo, Const) and iv.lo.value < 0:
-            raise FormulaStructureError(f"interval lower bound {iv.lo.value} is negative")
-        if isinstance(iv.lo, Const) and isinstance(iv.hi, Const):
-            if iv.hi.value < iv.lo.value:
-                raise FormulaStructureError(
-                    f"interval upper bound {iv.hi.value} below lower bound {iv.lo.value}"
-                )
-            if iv.hi.value == iv.lo.value and not (iv.lo_closed and iv.hi_closed):
-                raise FormulaStructureError("point interval must be closed on both ends")
-
     for node in iter_nodes(phi):
         for b in _node_bounds(node):
             if isinstance(b, Param):
@@ -223,26 +236,20 @@ def validate_formula(phi: Formula) -> None:
                 seen.add(b.name)
         match node:
             case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                check_interval(iv)
+                if error := interval_error(iv):
+                    raise FormulaStructureError(error)
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_PRIMARY = 1, 2, 3, 4, 5
+_KEYWORD = {cls: kw for table in (TEMPORAL, BINARY) for kw, cls in table.items()}
+_BINDING = {cls: i for i, cls in enumerate(BINARY.values())}
 
 
-def _prec(phi: Formula) -> int:
-    match phi:
-        case Implies():
-            return _PREC_IMPLIES
-        case Or():
-            return _PREC_OR
-        case And():
-            return _PREC_AND
-        case Not():
-            return _PREC_NOT
-    return _PREC_PRIMARY
+def _binding(phi: Formula) -> int:
+    """The node's place in BINARY; negation and primaries bind tighter than all."""
+    return _BINDING.get(type(phi), len(BINARY))
 
 
 def _fmt_num(v: float) -> str:
@@ -260,41 +267,27 @@ def _fmt_bound(b: Bound) -> str:
 def format_formula(phi: Formula) -> str:
     """Render a formula as text that parses back to a structurally equal AST."""
 
-    def fmt(node: Formula) -> str:
+    def fmt(node: Formula, parens: bool = False) -> str:
+        if parens:
+            return f"({fmt(node)})"
         match node:
             case TrueF():
                 return "true"
             case Atom(sig, op, b):
                 return f"{sig} {op} {_fmt_bound(b)}"
             case Not(c):
-                body = fmt(c)
-                if _prec(c) < _PREC_NOT:
-                    body = f"({body})"
-                return f"not {body}"
-            case And(l, r):
-                return _fmt_bin(l, "and", r, _PREC_AND)
-            case Or(l, r):
-                return _fmt_bin(l, "or", r, _PREC_OR)
-            case Implies(l, r):
-                return _fmt_bin(l, "implies", r, _PREC_IMPLIES)
-            case Finally(iv, c):
-                return f"F{iv}({fmt(c)})"
-            case Globally(iv, c):
-                return f"G{iv}({fmt(c)})"
+                return f"not {fmt(c, _binding(c) < len(BINARY))}"
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                # left-associative: the left child may share the binding
+                # strength, the right one needs parentheses to round-trip
+                b = _binding(node)
+                kw = _KEYWORD[type(node)]
+                return f"{fmt(l, _binding(l) < b)} {kw} {fmt(r, _binding(r) <= b)}"
+            case Finally(iv, c) | Globally(iv, c):
+                return f"{_KEYWORD[type(node)]}{iv}({fmt(c)})"
             case Until(iv, l, r):
                 return f"({fmt(l)}) U{iv} ({fmt(r)})"
         raise TypeError(f"not a formula node: {node!r}")
-
-    def _fmt_bin(l: Formula, kw: str, r: Formula, prec: int) -> str:
-        # binary operators are left-associative: the left child may share the
-        # precedence level, the right one needs parentheses to round-trip
-        ls = fmt(l)
-        if _prec(l) < prec:
-            ls = f"({ls})"
-        rs = fmt(r)
-        if _prec(r) <= prec:
-            rs = f"({rs})"
-        return f"{ls} {kw} {rs}"
 
     return fmt(phi)
 

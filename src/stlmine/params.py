@@ -19,10 +19,12 @@ from .formula import (
     Finally,
     Formula,
     Globally,
+    Interval,
     Param,
     Polarity,
     Until,
     infer_polarity,
+    interval_error,
     iter_nodes,
     map_bounds,
 )
@@ -108,8 +110,8 @@ def _subst_bound(b: Bound, valuation: Valuation) -> Const:
 def instantiate(template: Formula, valuation: Valuation, *, validate: bool = True) -> Formula:
     """Substitute parameter values, returning a concrete formula.
 
-    With validation on (the default) an interval whose substituted upper bound
-    falls below its lower bound is an error.  Internal callers that walk
+    With validation on (the default) a window that ``formula.interval_error``
+    rejects after substitution is an error.  Internal callers that walk
     monotone parameter boxes disable validation and rely on the evaluator's
     empty-window semantics instead.
     """
@@ -119,17 +121,15 @@ def instantiate(template: Formula, valuation: Valuation, *, validate: bool = Tru
 
 
 def _window_error(formula: Formula, valuation: Valuation) -> str | None:
-    """Why a window of the formula is ill-formed under the valuation (a
-    negative lower end, or an upper end below the lower one), else None."""
+    """Why a window of the formula is ill-formed under the valuation, else None."""
     for node in iter_nodes(formula):
         match node:
             case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                lo = _subst_bound(iv.lo, valuation).value
-                hi = _subst_bound(iv.hi, valuation).value
-                if lo < 0:
-                    return f"interval lower bound {lo} is negative"
-                if hi < lo:
-                    return f"interval [{lo}, {hi}] is ill-formed after substitution"
+                lo = _subst_bound(iv.lo, valuation)
+                hi = _subst_bound(iv.hi, valuation)
+                if error := interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed)):
+                    return error
+    return None
 
 
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
@@ -137,9 +137,7 @@ def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
     return dict(ds.signal_ranges)
 
 
-def default_bounds(
-    template: Formula, ds: Dataset, polarity: dict[str, Polarity] | None = None
-) -> ParamSpace:
+def default_bounds(template: Formula, ds: Dataset) -> ParamSpace:
     """Build the search box for a template from dataset statistics.
 
     Value parameters get the observed range of their atom's signal, padded by
@@ -147,8 +145,7 @@ def default_bounds(
     absolute).  Time parameters span [0, shortest trace duration].  Every
     atom's signal must be one of the dataset's.
     """
-    if polarity is None:
-        polarity = infer_polarity(template)
+    polarity = infer_polarity(template)
     ranges = signal_ranges(ds)
     min_duration = min(tr.duration for tr in ds.traces)
     defs: dict[str, ParamDef] = {}

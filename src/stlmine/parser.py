@@ -13,7 +13,9 @@ Grammar sketch (keywords are reserved, so signals cannot be named ``F``,
     bound    := number | "$" ident
 
 ``not`` binds tighter than ``and``, which binds tighter than ``or``, which
-binds tighter than ``implies``; binary operators associate to the left.
+binds tighter than ``implies``; binary operators associate to the left.  The
+keywords of F, G and the binary connectives, and the binding order of the
+latter, come from the ``TEMPORAL`` and ``BINARY`` tables in ``formula.py``.
 """
 from __future__ import annotations
 
@@ -22,24 +24,22 @@ from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError
 from .formula import (
-    And,
+    BINARY,
+    TEMPORAL,
     Atom,
     Bound,
     Const,
-    Finally,
     Formula,
-    Globally,
-    Implies,
     Interval,
     Not,
-    Or,
     Param,
     TrueF,
     Until,
     validate_formula,
 )
 
-KEYWORDS = {"true", "not", "and", "or", "implies", "F", "G", "U"}
+KEYWORDS = {"true", "not", "U", *TEMPORAL, *BINARY}
+_BINARY_LEVELS = tuple(BINARY.items())
 
 _TOKEN_RE = re.compile(
     r"""
@@ -121,25 +121,14 @@ class _Parser:
 
     # precedence-climbing entry points --------------------------------------
 
-    def formula(self) -> Formula:
-        return self.implies()
-
-    def implies(self) -> Formula:
-        node = self.disjunction()
-        while self.accept("keyword", "implies"):
-            node = Implies(node, self.disjunction())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.accept("keyword", "or"):
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.accept("keyword", "and"):
-            node = And(node, self.unary())
+    def formula(self, level: int = 0) -> Formula:
+        """Binary connectives from ``_BINARY_LEVELS[level]`` on, tightest last."""
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        keyword, node_type = _BINARY_LEVELS[level]
+        node = self.formula(level + 1)
+        while self.accept("keyword", keyword):
+            node = node_type(node, self.formula(level + 1))
         return node
 
     def unary(self) -> Formula:
@@ -150,12 +139,9 @@ class _Parser:
     def primary(self) -> Formula:
         if self.accept("keyword", "true"):
             return TrueF()
-        if self.accept("keyword", "F"):
-            iv = self.interval()
-            return Finally(iv, self.parenthesized())
-        if self.accept("keyword", "G"):
-            iv = self.interval()
-            return Globally(iv, self.parenthesized())
+        if self.cur.kind == "keyword" and self.cur.text in TEMPORAL:
+            node_type = TEMPORAL[self.advance().text]
+            return node_type(self.interval(), self.parenthesized())
         if self.accept("punct", "("):
             node = self.formula()
             self.expect("punct", ")")

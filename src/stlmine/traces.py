@@ -3,14 +3,14 @@
 Trace CSV format: header ``time,<sig1>,<sig2>,...`` then one row per sample,
 UTF-8, ``.`` decimal separator.  A label manifest is a CSV of ``filename,label``
 rows with label 0 or 1; a ``filename,label`` or ``file,label`` header row is
-optional.
+optional.  Both may start with a UTF-8 byte-order mark, blank lines are
+skipped, and error messages give file line numbers.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -179,12 +179,16 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-@contextmanager
 def _utf8_csv(path):
-    """A CSV reader over a UTF-8 file; other bytes raise a DataFormatError naming it."""
+    """Yield ``(file line number, row)`` for each non-blank row of a UTF-8 CSV
+    file, a leading byte-order mark dropped; other bytes raise a
+    DataFormatError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
@@ -192,18 +196,17 @@ def _utf8_csv(path):
 def load_trace_csv(path) -> Trace:
     """Read one trace file. The sampling period is taken from the timestamps;
     a single-row file gets period 1.0 by convention."""
-    with _utf8_csv(path) as reader:
-        rows = [r for r in reader if r and any(cell.strip() for cell in r)]
+    rows = list(_utf8_csv(path))
     if not rows:
         raise DataFormatError(f"{path}: empty trace file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if not header or header[0] != "time" or len(header) < 2:
         raise DataFormatError(f"{path}: header must be 'time,<sig1>,...', got {header}")
     sig_names = header[1:]
     if len(set(sig_names)) != len(sig_names):
         raise DataFormatError(f"{path}: duplicate signal column names")
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
@@ -223,9 +226,10 @@ def load_trace_csv(path) -> Trace:
             raise DataFormatError(f"{path}: timestamps must be strictly increasing")
         if np.abs(diffs - period).max() > TIMESTAMP_RTOL * period:
             i = int(np.abs(diffs - period).argmax())
+            # gap i ends at data row i + 1, which is rows[i + 2] past the header
             raise DataFormatError(
-                f"{path}: non-uniform timestamps (line {i + 3}: gap "
-                f"{diffs[i]!r} vs period {period!r})"
+                f"{path}: non-uniform timestamps (line {rows[i + 2][0]}: gap "
+                f"{float(diffs[i])!r} vs period {period!r})"
             )
     signals = {name: arr[:, j + 1] for j, name in enumerate(sig_names)}
     return Trace(signals, period=period, start_time=float(times[0]))
@@ -242,9 +246,7 @@ def save_trace_csv(trace: Trace, path) -> None:
 
 
 def read_label_manifest(path) -> list[tuple[str, int]]:
-    with _utf8_csv(path) as reader:
-        # (file line number, row) so errors point at the line as it appears
-        rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
+    rows = list(_utf8_csv(path))
     if not rows:
         raise DataFormatError(f"{path}: empty label manifest")
     if [c.strip().lower() for c in rows[0][1]] in (["filename", "label"], ["file", "label"]):

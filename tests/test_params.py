@@ -127,6 +127,16 @@ def test_instantiate_rejects_inverted_window():
     assert isinstance(phi, Finally)
 
 
+def test_instantiate_rejects_what_the_parser_rejects():
+    # a half-open point window: the parser and validate_formula refuse it, so
+    # instantiate must not produce it
+    tpl = parse_formula("F($a,$b](x > 0)")
+    with pytest.raises(InstantiationError, match="point interval must be closed"):
+        instantiate(tpl, {"a": 2.0, "b": 2.0})
+    phi = instantiate(tpl, {"a": 2.0, "b": 3.0})
+    assert parse_formula(str(phi)) == phi
+
+
 def test_instantiate_negative_time_rejected():
     tpl = parse_formula("F[$lo,$hi](x > 0)")
     with pytest.raises(InstantiationError):

@@ -94,6 +94,41 @@ def test_load_trace_csv_errors(tmp_path):
         load_trace_csv(p)
 
 
+def test_load_trace_csv_errors_name_file_lines(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("time,x\n\n0,1\n1,abc\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv:4: "):
+        load_trace_csv(p)
+
+
+def test_non_uniform_timestamps_name_the_file_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("time,x\n0,1\n\n1,2\n1.5,3\n")
+    with pytest.raises(DataFormatError, match=r"\(line 5: gap"):
+        load_trace_csv(p)
+
+
+def test_non_uniform_timestamps_print_plain_numbers(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("time,x\n0,1\n1,2\n1.5,3\n")
+    with pytest.raises(DataFormatError, match=r"gap 0\.5 vs period 1\.0\)$"):
+        load_trace_csv(p)
+
+
+def test_load_trace_csv_accepts_byte_order_mark(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"\xef\xbb\xbftime,x\n0,1\n1,2\n")
+    tr = load_trace_csv(p)
+    assert tr.signal_names == ("x",)
+    assert tr.values("x").tolist() == [1.0, 2.0]
+
+
+def test_label_manifest_accepts_byte_order_mark(tmp_path):
+    m = tmp_path / "labels.csv"
+    m.write_bytes(b"\xef\xbb\xbffile,label\na.csv,1\nb.csv,0\n")
+    assert read_label_manifest(m) == [("a.csv", 1), ("b.csv", 0)]
+
+
 def test_label_manifest(tmp_path):
     m = tmp_path / "labels.csv"
     m.write_text("filename,label\na.csv,1\nb.csv,0\n")
