@@ -12,6 +12,12 @@ bracket, emit the midpoint as a candidate valuation, split the box at that
 point into 2^m sub-boxes, discard the two corner boxes (one entirely
 satisfying, one entirely violating), and enqueue the rest unless their
 diagonal has shrunk below ``delta`` times the initial box diagonal.
+
+For a template that is one atom under ``not``/``F``/``G``, robustness is
+monotone in a window reduction of the raw signal (``monitor._Chain``), so g
+scores that reduction's extreme over the traces, cached per batch and window
+offsets: a g call on known offsets is one lookup and one subtraction, and
+equals what ``_rob`` gives.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import InstantiationError, SearchLimitError
 from .formula import Formula, Polarity, parameters
-from .monitor import _rob, _stack, robustness_many
+from .monitor import _Chain, _rob, _stack, robustness_many
 from .params import ParamSpace, Valuation, instantiate
 from .traces import Trace
 
@@ -111,6 +117,7 @@ class BoundaryQuery:
         self.points_emitted = 0
         self.g_evaluations = 0
         self.log = RegionLog() if keep_log else None
+        self._chain = _Chain.of(template)
         self._names = space.names
         missing = [name for name in parameters(template) if name not in self._names]
         if missing:
@@ -139,6 +146,8 @@ class BoundaryQuery:
             raise InstantiationError(
                 f"expected a {len(self._names)}-vector, got shape {vec.shape}")
         val = dict(zip(self._names, vec.tolist()))
+        if self._chain is not None:
+            return min(float(self._chain.rob(b, val, smallest=True)) for b in self._batches)
         return min(float(_rob(self.template, b, val, 0.0).min()) for b in self._batches)
 
     def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:

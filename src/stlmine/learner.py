@@ -105,12 +105,14 @@ def _label_batches(ds: Dataset, phi: Formula = TrueF()) -> tuple[list[_Batch], l
     return tuple([b for _, b in _stack(phi, ds.with_label(lab), 0.0)] for lab in (0, 1))
 
 
-def _count_wrong(phi: Formula, batches, val: Valuation | None, mode: str) -> int:
-    """The traces ``mcr`` counts as wrong; a template reads its parameters from ``val``."""
+def _count_wrong(phi: Formula, batches, val: Valuation | None, mode: str, chain=None) -> int:
+    """The traces ``mcr`` counts as wrong; a template reads its parameters from
+    ``val``, and scores through ``chain``, its ``_Chain``, if given."""
+    rob = chain.rob if chain is not None else lambda b, v: _rob(phi, b, v, 0.0)
     neg, pos = batches
-    wrong = sum(np.count_nonzero(_rob(phi, b, val, 0.0) > 0) for b in neg)
+    wrong = sum(np.count_nonzero(rob(b, val) > 0) for b in neg)
     if mode == MCR_SYMMETRIC:
-        wrong += sum(b.k - np.count_nonzero(_rob(phi, b, val, 0.0) > 0) for b in pos)
+        wrong += sum(b.k - np.count_nonzero(rob(b, val) > 0) for b in pos)
     elif mode != MCR_ONESIDED:
         raise ValueError(f"unknown mcr mode {mode!r}")
     return int(wrong)  # a Python int, so that the rate is a Python float
@@ -161,7 +163,8 @@ def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
         stats.boundary_points += 1
         if _window_error(template, valuation):
             continue  # an inverted two-sided window: legal point, degenerate formula
-        score = _count_wrong(template, batches, valuation, cfg.mcr_mode) / ds.n
+        # the query's chain, so that label-1 reductions are shared with g
+        score = _count_wrong(template, batches, valuation, cfg.mcr_mode, query._chain) / ds.n
         if score < cfg.threshold:
             phi = instantiate(template, valuation)
             classifier = LearnedClassifier(phi, score, template, valuation, stats)

@@ -32,6 +32,16 @@ value is already within bounds, so the results equal clipping everywhere.
 
 A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
+
+A template ``(not | F_I | G_I)* (x ~ c)`` factors through its threshold at
+t=0 (``_Chain``).  With the negations pushed down to the atom, each window
+takes the max or the min of the raw signal x, and robustness is ``x - c`` or
+``c - x`` of that composed reduction R, negated once per ``not`` and clipped
+to [-BIG, BIG].  Rounding a difference, negation and the clip are monotone,
+so they commute with max and min bit for bit, the sign of zero included.
+Where ``_rob`` writes ±BIG, R holds the reduction's identity ±inf, which the
+clip turns into the same ±BIG.  R depends on a valuation only through the
+window offsets, so it is computed once for many thresholds.
 """
 from __future__ import annotations
 
@@ -117,15 +127,16 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     return max(jlo, 0), min(jhi, b.n - 1)
 
 
-def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool) -> np.ndarray:
-    """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain.
+def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool, fill: float) -> np.ndarray:
+    """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain;
+    ``fill`` scores the windows that lie wholly past the grid.
 
     Needs a non-empty window inside the grid: 0 <= jlo <= jhi < samples.
     """
     k, n = arr.shape
     w = jhi - jlo + 1
     out = np.empty((k, n))
-    out[:, n - jlo :] = -BIG if largest else BIG  # windows wholly past the grid
+    out[:, n - jlo :] = fill
     filt = maximum_filter1d if largest else minimum_filter1d
     # origin -(w//2) turns the centered filter into the forward window [j, j+w-1]
     filt(arr[:, jlo:], size=w, axis=1, output=out[:, : n - jlo], mode="constant",
@@ -199,7 +210,7 @@ def _rob(
                 return np.full(shape, -BIG if largest else BIG)
             arr = _rob(child, b, val)
             if t is None:
-                return _window_reduce(arr, jlo, jhi, largest)
+                return _window_reduce(arr, jlo, jhi, largest, -BIG if largest else BIG)
             win = arr[:, jlo : jhi + 1]
             return win.max(axis=1) if largest else win.min(axis=1)
         case Until(iv, l, r):
@@ -218,6 +229,58 @@ def _rob(
             best = np.minimum(right[:, jlo : jhi + 1], inner[:, jlo - start :])
             return best.max(axis=1)
     raise TypeError(f"cannot evaluate {node!r}")
+
+
+class _Chain:
+    """Robustness at t=0 of a template ``(not | F_I | G_I)* (x ~ c)`` from R, the
+    composed window max/min of x (see the module docstring).  R and its extreme
+    are cached per batch and window offsets, one value per trace each."""
+
+    def __init__(self, ops: list[tuple[Interval, bool]], atom: Atom, odd: bool):
+        self.ops, self.atom, self.odd, self._cache = ops, atom, odd, {}
+        self.rising = (atom.op in (">", ">=")) != odd  # robustness rises with R
+
+    @classmethod
+    def of(cls, template: Formula) -> _Chain | None:
+        """The chain of a template of that shape with at least one window, else None."""
+        ops, odd, node = [], False, template
+        while not isinstance(node, Atom):
+            match node:
+                case Not(child):
+                    odd, node = not odd, child
+                case Finally(iv, child) | Globally(iv, child):
+                    ops.append((iv, isinstance(node, Finally), odd))
+                    node = child
+                case _:
+                    return None
+        # a window takes the max of x if it is an F, flipped by each not below
+        # it (all nots but those above it) and by a < atom
+        less = node.op in ("<", "<=")
+        ops = [(iv, f ^ odd ^ above ^ less) for iv, f, above in ops]
+        return cls(ops, node, odd) if ops else None
+
+    def rob(self, b: _Batch, val, smallest: bool = False) -> np.ndarray:
+        """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``;
+        with ``smallest``, the minimum over the traces in value."""
+        # the outermost window is reduced at t=0, every inner one on the grid
+        wins = tuple(_window(iv, b, val, None if i else 0.0) for i, (iv, _) in enumerate(self.ops))
+        entry = self._cache.get((b, wins))
+        if entry is None:
+            r = b.signals[self.atom.signal]
+            for i in reversed(range(len(self.ops))):
+                largest, (jlo, jhi) = self.ops[i][1], wins[i]
+                if jhi < jlo:
+                    r = np.full((b.k, b.n) if i else b.k, -np.inf if largest else np.inf)
+                elif i:
+                    r = _window_reduce(r, jlo, jhi, largest, -np.inf if largest else np.inf)
+                else:
+                    win = r[:, jlo : jhi + 1]
+                    r = win.max(axis=1) if largest else win.min(axis=1)
+            entry = self._cache[b, wins] = r, r.min() if self.rising else r.max()
+        r = entry[1] if smallest else entry[0]
+        c = _bound(self.atom.bound, val)
+        out = r - c if self.atom.op in (">", ">=") else c - r
+        return np.clip(-out if self.odd else out, -BIG, BIG)
 
 
 def _check_concrete(phi: Formula) -> None:

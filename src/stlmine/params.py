@@ -147,7 +147,6 @@ def default_bounds(template: Formula, ds: Dataset) -> ParamSpace:
     """
     polarity = infer_polarity(template)
     ranges = signal_ranges(ds)
-    min_duration = min(tr.duration for tr in ds.traces)
     defs: dict[str, ParamDef] = {}
     for node in iter_nodes(template):
         match node:
@@ -164,9 +163,9 @@ def default_bounds(template: Formula, ds: Dataset) -> ParamSpace:
                 for b in (iv.lo, iv.hi):
                     if isinstance(b, Param) and b.name not in defs:
                         defs[b.name] = ParamDef(
-                            b.name, ParamKind.TIME, 0.0, min_duration, polarity[b.name]
+                            b.name, ParamKind.TIME, 0.0, ds.min_duration, polarity[b.name]
                         )
-    if min_duration <= 0 and any(p.kind is ParamKind.TIME for p in defs.values()):
+    if ds.min_duration <= 0 and any(p.kind is ParamKind.TIME for p in defs.values()):
         raise DegenerateBoundsError(
             "time parameters need traces with at least two samples"
         )

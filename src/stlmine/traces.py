@@ -164,6 +164,11 @@ class Dataset:
             for name in self.signal_names
         }
 
+    @cached_property
+    def min_duration(self) -> float:
+        """Duration of the shortest trace, computed once."""
+        return min(tr.duration for tr in self.traces)
+
     def with_label(self, label: int) -> list[Trace]:
         return [tr for tr, lab in zip(self.traces, self.labels) if lab == label]
 

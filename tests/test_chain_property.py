@@ -1,0 +1,129 @@
+"""Property tests for single-atom temporal chains, ``(not | F_I | G_I)* (x ~ c)``.
+
+The chain evaluator scores such a template from cached window reductions of
+the raw signal; it must give the bytes ``_rob`` gives, the sign of zero
+included.  A boundary query and the learner's MCR check reuse those caches
+across valuations, so the second test drives one query and one set of label
+batches through many valuations that share window offsets.
+"""
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stlmine.boundary import BoundaryQuery, min_robustness
+from stlmine.formula import And, Atom, Const, Finally, Globally, Interval, Not, Param, TrueF, Until
+from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
+from stlmine.monitor import BIG, _Batch, _Chain, _rob
+from stlmine.params import ParamKind, _window_error, default_bounds, instantiate
+from stlmine.traces import Trace
+from test_g_property import TEMPLATES
+from test_mcr_property import labeled_traces_of_two_shapes
+
+# ±0.0 for the sign of zero, values near BIG so that |x| + |c| exceeds it
+VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, 9e8, -9e8, 1e9, -1e9])
+THRESHOLDS = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.5, 5e8, -5e8, 1.5e9, -1.5e9])
+
+
+@st.composite
+def chains(draw):
+    """A chain up to depth 4 of not/F/G, with at least one window, over one
+    atom, and a valuation of its parameters.  Window ends are half-sample multiples up to past the grid,
+    so windows fall between samples, run off the grid, or are empty or
+    inverted; a one-sided window starts at 0."""
+    val: dict[str, float] = {}
+
+    def param(value):
+        name = f"p{len(val) + 1}"
+        val[name] = value
+        return Param(name)
+
+    ends = st.integers(0, 20).map(lambda k: k * 0.5)
+    node = Atom("x", draw(st.sampled_from([">", ">=", "<", "<="])), param(draw(THRESHOLDS)))
+    ops = st.lists(st.sampled_from(["not", "F", "G"]), min_size=1, max_size=4)
+    for op in draw(ops.filter(lambda ops: set(ops) != {"not"})):
+        if op == "not":
+            node = Not(node)
+            continue
+        lo = param(draw(ends)) if draw(st.booleans()) else Const(0.0)
+        iv = Interval(lo, param(draw(ends)), draw(st.booleans()), draw(st.booleans()))
+        node = (Finally if op == "F" else Globally)(iv, node)
+    return node, val
+
+
+@st.composite
+def batches_of_two_shapes(draw):
+    """Two batches of one to three traces, of different lengths and start
+    times, so that t=0 is the first sample in one and a later one in the other."""
+    period = draw(st.sampled_from([0.5, 1.0]))
+    n_a, n_b = draw(st.lists(st.integers(1, 7), min_size=2, max_size=2, unique=True))
+    out = []
+    for n, start in ((n_a, 0.0), (n_b, -period)):
+        k = draw(st.integers(1, 3))
+        values = st.lists(VALUES, min_size=n, max_size=n)
+        out.append(_Batch([Trace({"x": draw(values)}, period, start) for _ in range(k)]))
+    return out
+
+
+def test_only_single_atom_chains_factor():
+    x = Atom("x", ">", Const(0.0))
+    iv = Interval(Const(0.0), Const(1.0))
+    assert _Chain.of(Not(Globally(iv, Finally(iv, Not(x))))) is not None
+    assert _Chain.of(Finally(iv, x)) is not None
+    for other in (x, Not(x), TrueF(), Finally(iv, And(x, x)), Not(Until(iv, x, x)),
+                  Globally(iv, TrueF())):
+        assert _Chain.of(other) is None
+
+
+@settings(max_examples=600, deadline=None)
+@given(chains(), batches_of_two_shapes())
+def test_chain_equals_rob_bit_for_bit(chain_and_val, batches):
+    template, val = chain_and_val
+    chain = _Chain.of(template)
+    for b in batches:
+        want = _rob(template, b, val, 0.0)
+        assert chain.rob(b, val).tobytes() == want.tobytes()
+        assert chain.rob(b, val).tobytes() == want.tobytes()  # from the cache
+        assert chain.rob(b, val, smallest=True) == want.min()
+        assert abs(want).max() <= BIG
+
+
+CHAIN_TEMPLATES = [(s, t) for group in TEMPLATES.values() for s, t in group
+                   if _Chain.of(t) is not None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_warm_caches_match_fresh_queries_and_mcr(data):
+    signals, template = data.draw(st.sampled_from(CHAIN_TEMPLATES), label="template")
+    ds = data.draw(labeled_traces_of_two_shapes(signals), label="dataset")
+    space = default_bounds(template, ds)
+    batches = _label_batches(ds)
+    positives = ds.with_label(1)
+    query = BoundaryQuery._from_batches(template, space, batches[1], delta=0.01,
+                                        diag_tol=1e-3, max_points=None)
+    # two settings of the time parameters, taken in turn, each under many thresholds
+    eighths = [st.integers(0, 8).map(lambda k, p=p: p.lo + k * (p.hi - p.lo) / 8)
+               for p in space.params]
+    times = {p.name: data.draw(st.lists(grid, min_size=2, max_size=2, unique=True), label=p.name)
+             for p, grid in zip(space.params, eighths) if p.kind is ParamKind.TIME}
+    for i in range(12):
+        vector = [times[p.name][i % 2] if p.kind is ParamKind.TIME
+                  else data.draw(st.floats(p.lo, p.hi, allow_nan=False), label=p.name)
+                  for p in space.params]
+        valuation = space.to_valuation(vector)
+
+        got = query.g(vector)
+        assert got == BoundaryQuery(template, space, positives).g(vector)
+        assert got == min_robustness(template, valuation, positives)
+
+        phi = None if _window_error(template, valuation) else instantiate(template, valuation)
+        for mode in (MCR_ONESIDED, MCR_SYMMETRIC):
+            wrong = _count_wrong(template, batches, valuation, mode, query._chain)
+            assert wrong == _count_wrong(template, batches, valuation, mode)
+            if phi is not None:
+                assert wrong / ds.n == mcr(phi, ds, mode)
+    # one entry per batch and window offsets: the thresholds share them
+    assert len(query._chain._cache) <= 2 * (len(batches[0]) + len(batches[1]))
