@@ -2,10 +2,12 @@
 
 Every parameter has a polarity: raising a threshold can only make "x > c"
 harder, widening a window can only make "eventually" easier.  That makes the
-minimum robustness over the traces monotone across the parameter box, and a
-bisection along each box diagonal lands on the surface where satisfaction
-flips.  The emitted valuations are the tightest instantiations the traces
-marginally satisfy.
+minimum robustness over the traces monotone across the parameter box, so it
+changes sign at most once along each box diagonal.  The search locates that
+crossing on the grid of points a bisection would probe, alternating a secant
+guess with a halving: it ends on the same grid step as bisection (so the
+points are the same), with at most two probes more and usually far fewer.  The emitted
+valuations are the tightest instantiations the traces marginally satisfy.
 """
 import numpy as np
 

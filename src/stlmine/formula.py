@@ -6,6 +6,7 @@ satisfaction.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,8 @@ class Const:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        if not math.isfinite(self.value):
+            raise FormulaStructureError(f"constant {self.value} is not a finite number")
 
 
 @dataclass(frozen=True)

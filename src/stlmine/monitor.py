@@ -259,9 +259,9 @@ class _Chain:
         ops = [(iv, f ^ odd ^ above ^ less) for iv, f, above in ops]
         return cls(ops, node, odd) if ops else None
 
-    def rob(self, b: _Batch, val, smallest: bool = False) -> np.ndarray:
+    def rob(self, b: _Batch, val, smallest: bool = False) -> np.ndarray | float:
         """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``;
-        with ``smallest``, the minimum over the traces in value."""
+        with ``smallest``, the minimum over the traces as a Python float."""
         # the outermost window is reduced at t=0, every inner one on the grid
         wins = tuple(_window(iv, b, val, None if i else 0.0) for i, (iv, _) in enumerate(self.ops))
         entry = self._cache.get((b, wins))
@@ -276,11 +276,14 @@ class _Chain:
                 else:
                     win = r[:, jlo : jhi + 1]
                     r = win.max(axis=1) if largest else win.min(axis=1)
-            entry = self._cache[b, wins] = r, r.min() if self.rising else r.max()
+            entry = self._cache[b, wins] = r, float(r.min() if self.rising else r.max())
         r = entry[1] if smallest else entry[0]
         c = _bound(self.atom.bound, val)
         out = r - c if self.atom.op in (">", ">=") else c - r
-        return np.clip(-out if self.odd else out, -BIG, BIG)
+        out = -out if self.odd else out
+        if smallest:  # the clip in floats, equal to np.clip for ±0.0 and ±inf too
+            return min(max(out, -BIG), BIG)
+        return np.clip(out, -BIG, BIG)
 
 
 def _check_concrete(phi: Formula) -> None:

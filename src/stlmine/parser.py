@@ -19,6 +19,7 @@ latter, come from the ``TEMPORAL`` and ``BINARY`` tables in ``formula.py``.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -188,8 +189,11 @@ class _Parser:
     def bound(self) -> Bound:
         tok = self.cur
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                self._fail("number out of the range of a float")
             self.advance()
-            return Const(float(tok.text))
+            return Const(value)
         if tok.kind == "param":
             self.advance()
             return Param(tok.text[1:])

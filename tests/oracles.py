@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from stlmine.formula import (
     And,
     Atom,
@@ -20,6 +22,7 @@ from stlmine.formula import (
     Not,
     Or,
     Param,
+    Polarity,
     TrueF,
     Until,
 )
@@ -146,6 +149,49 @@ def brute_bool(phi: Formula, trace: Trace, t: float = 0.0) -> bool:
                     return True
             return False
     raise TypeError(f"not a concrete formula: {phi!r}")
+
+
+def bisection_walk(g, space, delta: float, diag_tol: float, max_points: int) -> list[dict]:
+    """The valuations a breadth-first boundary walk with plain bisection emits.
+
+    Boxes wait in a FIFO queue.  A box whose hardest corner satisfies
+    (``g > 0``) or whose easiest corner violates is dropped.  Otherwise the
+    diagonal from the hard corner to the easy one is halved until the bracket
+    is at most ``diag_tol``, its midpoint is emitted, and the box is split
+    there into 2^m sub-boxes.  The two corner sub-boxes are dropped, and each
+    other one is queued if ``np.linalg.norm`` of its extent exceeds ``delta``
+    times the initial diagonal.  ``g`` maps a list of floats to a float.
+    """
+    hard_high = [p.polarity is Polarity.DECREASING for p in space.params]
+    m = len(hard_high)
+    hard_mask = sum(1 << d for d in range(m) if hard_high[d])
+    easy_mask = (1 << m) - 1 - hard_mask
+    initial = float(np.linalg.norm(space.highs() - space.lows()))
+    queue = [(space.lows(), space.highs())]
+    points = []
+    while queue and len(points) < max_points:
+        lo, hi = queue.pop(0)
+        hard = np.array([hi[d] if hard_high[d] else lo[d] for d in range(m)])
+        easy = np.array([lo[d] if hard_high[d] else hi[d] for d in range(m)])
+        if g(hard.tolist()) > 0 or g(easy.tolist()) <= 0:
+            continue
+        s_lo, s_hi = 0.0, 1.0
+        while s_hi - s_lo > diag_tol:
+            mid = 0.5 * (s_lo + s_hi)
+            if g((hard + mid * (easy - hard)).tolist()) > 0:
+                s_hi = mid
+            else:
+                s_lo = mid
+        point = np.clip(hard + 0.5 * (s_lo + s_hi) * (easy - hard), lo, hi)
+        points.append(space.to_valuation(point))
+        for mask in range(1 << m):
+            if mask in (hard_mask, easy_mask):
+                continue
+            sub_lo = np.array([point[d] if mask >> d & 1 else lo[d] for d in range(m)])
+            sub_hi = np.array([hi[d] if mask >> d & 1 else point[d] for d in range(m)])
+            if float(np.linalg.norm(sub_hi - sub_lo)) > delta * initial:
+                queue.append((sub_lo, sub_hi))
+    return points
 
 
 def count_templates(n_atoms: int, n_unary: int, n_binary: int, max_len: int):

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from stlmine.boundary import BoundaryQuery, min_robustness
+from stlmine.boundary import BoundaryQuery, RegionLog, _bracket, _Box, min_robustness
 from stlmine.datagen import gen_steps_and_sinusoids
 from stlmine.enumeration import FormulaDB, Grammar, enumerate_templates
 from stlmine.errors import InstantiationError, UnknownSignalError
 from stlmine.formula import Polarity
 from stlmine.learner import _label_batches
+from stlmine.monitor import BIG
 from stlmine.params import ParamDef, ParamKind, ParamSpace, default_bounds
 from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
@@ -177,3 +178,115 @@ def test_query_on_shared_stacks_matches_a_query_on_traces():
         shared = BoundaryQuery._from_batches(template, space, positives, **opts)
         assert list(shared) == list(direct), template
         assert shared.g_evaluations == direct.g_evaluations, template
+
+
+def _bisect(g_at, n):
+    a, b = 0, n
+    while b - a > 1:
+        mid = (a + b) // 2
+        if g_at(mid) > 0:
+            b = mid
+        else:
+            a = mid
+    return a
+
+
+def _adversaries(r, n):
+    """Monotone g on 0..n that crosses zero between r and r + 1."""
+    yield lambda i: -1.0 if i <= r else 1.0  # a bare step
+    yield lambda i: (i - r - 1) * 1e-6 if i <= r else BIG  # a jump just past the root
+    yield lambda i: -BIG if i <= r else (i - r) * 1e-6  # a -BIG plateau before a slow rise
+    yield lambda i: -BIG if i <= r else BIG  # saturated on both sides
+    yield lambda i: (i - r - 0.5) ** 3  # convex above the root, concave below
+    yield lambda i: -0.0 if i <= r else 5e-324  # signed zero, then the least float
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 10])
+def test_bracket_takes_at_most_two_probes_more_than_bisection(depth):
+    n = 1 << depth
+    for r in range(n):
+        for g in _adversaries(r, n):
+            probes = []
+
+            def g_at(i, g=g):
+                assert 0 < i < n and i not in probes  # only new interior points
+                probes.append(i)
+                return g(i)
+
+            assert _bracket(g_at, n, g(0), g(n)) == _bisect(g, n) == r
+            assert len(probes) <= depth + 2
+
+
+def test_bracket_on_random_monotone_g():
+    rng = np.random.default_rng(5)
+    n = 1 << 10
+    checked = 0
+    for _ in range(300):
+        steps = np.sort(rng.choice([0.0, 1e-9, 1.0, 1e3, BIG], size=n + 1) * rng.random(n + 1))
+        g = np.cumsum(steps) - rng.uniform(0, steps.sum())
+        if not g[0] <= 0 < g[n]:
+            continue
+        probes = []
+        g_at = lambda i: probes.append(i) or float(g[i])  # noqa: E731
+        assert _bracket(g_at, n, float(g[0]), float(g[n])) == _bisect(lambda i: g[i], n)
+        assert len(probes) <= 12
+        checked += 1
+    assert checked > 200
+
+
+def _split_reference(query, box, point):
+    """Queue and log of a split under the per-box ``np.linalg.norm`` rule."""
+    out = {"queue": [], "valid": [], "invalid": [], "below_delta": []}
+    for mask in range(1 << len(point)):
+        above = [bool(mask >> d & 1) for d in range(len(point))]
+        lo = np.where(above, point, box.lo)
+        hi = np.where(above, box.hi, point)
+        if mask == query._hard_mask:
+            out["invalid"].append((lo, hi))
+        elif mask == query._easy_mask:
+            out["valid"].append((lo, hi))
+        elif float(np.linalg.norm(hi - lo)) > query.delta * query._initial_diag:
+            out["queue"].append((lo, hi))
+        else:
+            out["below_delta"].append((lo, hi))
+    return out
+
+
+def _split_result(query, box, point):
+    query._queue.clear()
+    query.log = RegionLog()
+    query._split(box, point)
+    got = {"queue": list(query._queue)}
+    got.update((name, getattr(query.log, name)) for name in ("valid", "invalid", "below_delta"))
+    return {name: [(b.lo, b.hi) for b in boxes] for name, boxes in got.items()}
+
+
+def _as_hex(split):
+    return {name: [[float(v).hex() for v in (*lo, *hi)] for lo, hi in boxes]
+            for name, boxes in split.items()}
+
+
+@pytest.mark.parametrize("polarities", ["id", "di", "iid", "did"])
+def test_split_keeps_and_logs_what_the_per_box_norm_keeps(polarities):
+    pol = {"i": Polarity.INCREASING, "d": Polarity.DECREASING}
+    space = ParamSpace([ParamDef(f"c{k}", ParamKind.VALUE, 0.0, 10.0, pol[p])
+                        for k, p in enumerate(polarities)])
+    tpl = parse_formula(" and ".join(
+        f"x {'>' if p == 'd' else '<'} $c{k}" for k, p in enumerate(polarities)))
+    query = BoundaryQuery(tpl, space, [const_trace(5.0)], delta=0.5, keep_log=True)
+    rng = np.random.default_rng(len(polarities))
+    m = len(polarities)
+    # a centred point gives sub-boxes whose diagonal ties delta * initial_diag
+    # in 2-d, so strict > drops them; random boxes vary the kept set
+    cases = [(_Box(np.zeros(m), np.full(m, 10.0)), np.full(m, 5.0))]
+    assert np.linalg.norm(np.full(m, 5.0)) == query.delta * query._initial_diag
+    for _ in range(400):
+        lo = rng.uniform(0, 5, m)
+        hi = lo + rng.uniform(0, 5, m) * rng.choice([1e-3, 1.0, 2.0], m)
+        cases.append((_Box(lo, hi), lo + rng.random(m) * (hi - lo)))
+    kept = 0
+    for box, point in cases:
+        want = _split_reference(query, box, point)
+        assert _as_hex(_split_result(query, box, point)) == _as_hex(want)
+        kept += len(want["queue"])
+    assert 0 < kept < len(cases) * ((1 << m) - 2)  # both outcomes occur

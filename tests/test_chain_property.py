@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlmine.boundary import BoundaryQuery, min_robustness
-from stlmine.formula import And, Atom, Const, Finally, Globally, Interval, Not, Param, TrueF, Until
+from stlmine.formula import (
+    And, Atom, Const, Finally, Globally, Interval, Not, Param, TrueF, Until, infer_polarity,
+)
 from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
 from stlmine.monitor import BIG, _Batch, _Chain, _rob
-from stlmine.params import ParamKind, _window_error, default_bounds, instantiate
+from stlmine.params import (
+    ParamDef, ParamKind, ParamSpace, _window_error, default_bounds, instantiate,
+)
 from stlmine.traces import Trace
 from test_g_property import TEMPLATES
 from test_mcr_property import labeled_traces_of_two_shapes
@@ -88,6 +92,24 @@ def test_chain_equals_rob_bit_for_bit(chain_and_val, batches):
         assert chain.rob(b, val).tobytes() == want.tobytes()  # from the cache
         assert chain.rob(b, val, smallest=True) == want.min()
         assert abs(want).max() <= BIG
+
+
+@settings(max_examples=400, deadline=None)
+@given(chains(), batches_of_two_shapes())
+def test_chain_g_is_a_python_float_equal_to_the_rob_minimum(chain_and_val, batches):
+    # g clips the cached extreme in Python floats; it must equal the minimum
+    # of _rob over the batches, with |x| + |c| past BIG, ±0.0 and empty windows
+    template, val = chain_and_val
+    polarity = infer_polarity(template)
+    space = ParamSpace([ParamDef(name, ParamKind.VALUE if name == "p1" else ParamKind.TIME,
+                                 0.0, 1.0, polarity[name]) for name in val])
+    query = BoundaryQuery._from_batches(template, space, batches, delta=0.01,
+                                        diag_tol=1e-3, max_points=None)
+    want = min(float(_rob(template, b, val, 0.0).min()) for b in batches)
+    for _ in range(2):  # the second call reads the cache
+        got = query.g([val[name] for name in space.names])
+        assert type(got) is float
+        assert got == want
 
 
 CHAIN_TEMPLATES = [(s, t) for group in TEMPLATES.values() for s, t in group

@@ -295,6 +295,19 @@ def test_monitor_rejects_bad_formulas(tmp_path, capsys):
     assert f"error: {trace}: not UTF-8" in capsys.readouterr().err
 
 
+def test_monitor_rejects_overflowing_literals(tmp_path, capsys):
+    # 1e400 overflows to inf: a usage error with its position, not a traceback
+    # from the window arithmetic or a silently saturated score
+    trace = tmp_path / "t.csv"
+    trace.write_text(TRACE_CSV)
+    for formula in ("F[0,1e400](x > 0)", "x > 1e400"):
+        assert main(["monitor", "--formula", formula, "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --formula: 1:" in captured.err
+        assert "out of the range of a float" in captured.err
+
+
 def test_enumerate_prints_length_and_template(capsys):
     assert main(["enumerate", "--signals", "x", "--max-length", "2", "--quiet"]) == 0
     lines = capsys.readouterr().out.splitlines()

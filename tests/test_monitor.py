@@ -19,7 +19,7 @@ from stlmine.formula import (
     TrueF,
     Until,
 )
-from stlmine.monitor import BIG, robustness, robustness_many, satisfies
+from stlmine.monitor import BIG, _rob, _stack, robustness, robustness_many, satisfies
 from stlmine.params import default_bounds, instantiate
 from stlmine.parser import parse_formula
 
@@ -271,9 +271,17 @@ def test_values_and_thresholds_near_big_saturate_like_bruteforce():
                     assert robustness_many(phi, traces, t).tolist() == want, (phi, t)
                     assert [robustness(phi, trace, t) for trace in traces] == want, (phi, t)
     for c in (-np.inf, np.inf):  # an infinite threshold always clips
-        for phi in (Atom("x", ">", Const(c)), Finally(_closed(3, 12), Atom("x", "<", Const(c)))):
-            want = [brute_robustness(phi, trace) for trace in traces]
-            assert robustness_many(phi, traces).tolist() == want
+        with pytest.raises(FormulaStructureError, match="not a finite number"):
+            Const(c)
+        # a valuation still reaches one, and scores as a threshold past every value does
+        for template in (Atom("x", ">", Param("c")),
+                         Finally(_closed(3, 12), Atom("x", "<", Param("c")))):
+            past = instantiate(template, {"c": float(np.copysign(1e300, c))})
+            want = [brute_robustness(past, trace) for trace in traces]
+            got = np.empty(len(traces))
+            for idx, batch in _stack(template, traces, 0.0):
+                got[idx] = _rob(template, batch, {"c": c}, 0.0)
+            assert got.tolist() == want
 
     templates = _near_big_cases(Atom("x", ">", Param("a")), Atom("x", "<", Param("b")))
     ds = Dataset(traces, [1] * len(traces))

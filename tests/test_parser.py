@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import random_concrete_formula, random_template
-from stlmine.errors import FormulaSyntaxError
+from stlmine.errors import FormulaSyntaxError, StlmineError
 from stlmine.formula import (
     And,
     Atom,
@@ -21,6 +21,7 @@ from stlmine.formula import (
     Until,
     format_formula,
 )
+from stlmine.params import instantiate
 from stlmine.parser import parse_formula
 
 
@@ -84,6 +85,27 @@ def test_parens_grouping():
 def test_syntax_errors(bad):
     with pytest.raises(FormulaSyntaxError):
         parse_formula(bad)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("x > 1e400", 5),
+    ("x < -1e400", 5),
+    ("F[0,1e400](x > 0)", 5),
+    ("G[1e999,2](x > 0)", 3),
+])
+def test_non_finite_literals_are_syntax_errors(text, column):
+    # float() overflows these to ±inf, which no formula may hold
+    with pytest.raises(FormulaSyntaxError, match="out of the range of a float") as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_const_refuses_non_finite_values(value):
+    with pytest.raises(StlmineError, match="not a finite number"):
+        Const(value)
+    with pytest.raises(StlmineError, match="not a finite number"):
+        instantiate(parse_formula("x > $c"), {"c": value})
 
 
 def test_parse_applies_structural_validation():
