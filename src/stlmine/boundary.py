@@ -35,6 +35,7 @@ equals what ``_rob`` gives.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -180,12 +181,21 @@ class BoundaryQuery:
     # ------------------------------------------------------------------
 
     def g(self, vector: np.ndarray) -> float:
-        """Smallest robustness of the template at this point over the traces."""
-        self.g_evaluations += 1
+        """Smallest robustness of the template at this point over the traces;
+        a vector of the wrong shape or with a NaN or infinite entry raises
+        InstantiationError."""
         vec = np.asarray(vector, dtype=float)
         if vec.shape != (len(self._names),):
             raise InstantiationError(
                 f"expected a {len(self._names)}-vector, got shape {vec.shape}")
+        for name, value in zip(self._names, vec.tolist()):
+            if not math.isfinite(value):
+                raise InstantiationError(f"parameter ${name} must be finite, got {value}")
+        return self._g(vec)
+
+    def _g(self, vec: np.ndarray) -> float:
+        """``g`` without the checks, for the search's own points inside the box."""
+        self.g_evaluations += 1
         val = dict(zip(self._names, vec.tolist()))
         if self._chain is not None:
             return min(self._chain.rob(b, val, smallest=True) for b in self._batches)
@@ -211,19 +221,19 @@ class BoundaryQuery:
                 )
             box = self._queue.popleft()
             hard, easy = self._corners(box)
-            g_hard = self.g(hard)
+            g_hard = self._g(hard)
             if g_hard > 0:
                 if self.log is not None:
                     self.log.valid.append(box)
                 continue
-            g_easy = self.g(easy)
+            g_easy = self._g(easy)
             if g_easy <= 0:
                 if self.log is not None:
                     self.log.invalid.append(box)
                 continue
             # g crosses zero along the oriented diagonal: bracket the crossing
             n, diff = self._grid, easy - hard
-            a = _bracket(lambda i: self.g(hard + i / n * diff), n, g_hard, g_easy)
+            a = _bracket(lambda i: self._g(hard + i / n * diff), n, g_hard, g_easy)
             point = np.clip(hard + (a + 0.5) / n * diff, box.lo, box.hi)
             self._split(box, point)
             self.points_emitted += 1

@@ -6,10 +6,21 @@ with the trace domain.  No interpolation between samples.
 
 One recursive evaluator computes robustness on a batch of same-shape traces in
 one of two modes: at every sample time, or at a single (possibly off-grid)
-time.  Operands of temporal operators always use the grid mode, whose window
-max/min is a sliding-window filter (as in Donzé, Ferrère and Maler, "Efficient
-Robust Monitoring for STL", CAV 2013); the single-time mode reduces only the
-one window it needs.
+time.  Operands of temporal operators always use the grid mode; the
+single-time mode reduces only the one window it needs.
+
+The grid mode's window max/min (the sliding-window max/min of Donzé, Ferrère
+and Maler, "Efficient Robust Monitoring for STL", CAV 2013) is a doubling
+table in numpy (``_window_reduce``): level p holds, at each sample, the max
+or min of the 2^p samples from it on (fewer at the end of the grid), built
+from level p-1 by one pairwise max or min, and a window of w samples is the
+max or min of two overlapping level-floor(log2 w) spans.  A window cut off by
+the end of the grid reduces the samples that exist.  ``_rob`` builds the
+levels of each fresh child array in that array and one scratch array; a
+batch caches the levels of each raw signal, per direction, as deep as a
+window has asked, and a chain (below) reads its window over the raw signal
+from them.  Both pair the same samples in the same order, so they give the
+same bytes.
 
 Robustness follows the usual max/min semantics:
 
@@ -48,7 +59,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import FormulaStructureError, TraceDomainError, UnknownSignalError
 from .formula import (
@@ -79,7 +89,7 @@ _EPS = 1e-9
 class _Batch:
     """Several same-shape traces stacked for vectorized evaluation."""
 
-    __slots__ = ("signals", "absmax", "period", "start", "n", "k")
+    __slots__ = ("signals", "absmax", "levels", "period", "start", "n", "k")
 
     def __init__(self, traces: list[Trace]):
         ref = traces[0]
@@ -93,6 +103,8 @@ class _Batch:
         }
         # largest |value| per signal, so that atoms clip only when they can reach BIG
         self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
+        # (signal, largest) -> doubling table of that raw signal, built as deep as asked
+        self.levels: dict[tuple[str, bool], list[np.ndarray]] = {}
 
     @staticmethod
     def group_key(tr: Trace):
@@ -127,20 +139,56 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     return max(jlo, 0), min(jhi, b.n - 1)
 
 
-def _window_reduce(arr: np.ndarray, jlo: int, jhi: int, largest: bool, fill: float) -> np.ndarray:
+def _double(src: np.ndarray, h: int, op, dst: np.ndarray) -> np.ndarray:
+    """The next level of a doubling table with spans of h samples: into dst,
+    column j reduces columns j and j+h of src, or copies column j when j+h is
+    past the grid.  Works on the flattened arrays, one contiguous pass, then
+    mends the columns that paired with the next row."""
+    n, flat = src.shape[1], src.reshape(-1)
+    op(flat[:-h], flat[h:], out=dst.reshape(-1)[:-h])
+    dst[:, n - h :] = src[:, n - h :]
+    return dst
+
+
+def _window_reduce(
+    arr: np.ndarray, jlo: int, jhi: int, largest: bool, fill: float, levels: list | None = None
+) -> np.ndarray:
     """Per-index window max (largest=True) or min over [q+jlo, q+jhi] & domain;
     ``fill`` scores the windows that lie wholly past the grid.
 
     Needs a non-empty window inside the grid: 0 <= jlo <= jhi < samples.
+    Level p of the doubling table of ``arr`` holds, at column j, the max (or
+    min) of the samples j .. j+2^p-1 that exist.  A window of w samples is
+    the max (or min) of two level-floor(log2 w) spans, one starting at its
+    first sample and one ending at its last; a window cut off by the end of
+    the grid fits in its first span alone.  Without ``levels`` the table is
+    built in ``arr`` (or in a contiguous copy of it), which the caller gives
+    up, and one scratch array.
+    ``levels`` is a cached table of ``arr`` (``levels[0] is arr``), extended
+    here as deep as the window needs.  Both pair the same samples in the same
+    order, so they give the same bytes.
     """
     k, n = arr.shape
     w = jhi - jlo + 1
+    p = w.bit_length() - 1
+    op = np.maximum if largest else np.minimum
+    if levels is not None:
+        while len(levels) <= p:
+            levels.append(_double(levels[-1], 1 << (len(levels) - 1), op, np.empty((k, n))))
+        span = levels[p]
+    else:
+        span, dst = np.ascontiguousarray(arr), np.empty((k, n)) if p else None
+        for i in range(p):
+            span, dst = _double(span, 1 << i, op, dst), span
+    # columns q < c pair two spans; the row-crossing pairs of the flat pass
+    # land in columns c.. of out, which the first span and fill overwrite
     out = np.empty((k, n))
+    c, jmid = n - 1 - jhi + (1 << p), jhi + 1 - (1 << p)
+    size = (k - 1) * n + c
+    flat = span.reshape(-1)
+    op(flat[jlo : jlo + size], flat[jmid : jmid + size], out=out.reshape(-1)[:size])
+    out[:, c : n - jlo] = span[:, c + jlo :]
     out[:, n - jlo :] = fill
-    filt = maximum_filter1d if largest else minimum_filter1d
-    # origin -(w//2) turns the centered filter into the forward window [j, j+w-1]
-    filt(arr[:, jlo:], size=w, axis=1, output=out[:, : n - jlo], mode="constant",
-         cval=-np.inf if largest else np.inf, origin=-(w // 2))
     return out
 
 
@@ -266,13 +314,17 @@ class _Chain:
         wins = tuple(_window(iv, b, val, None if i else 0.0) for i, (iv, _) in enumerate(self.ops))
         entry = self._cache.get((b, wins))
         if entry is None:
-            r = b.signals[self.atom.signal]
+            sig, inner = self.atom.signal, len(self.ops) - 1
+            r = b.signals[sig]
             for i in reversed(range(len(self.ops))):
                 largest, (jlo, jhi) = self.ops[i][1], wins[i]
                 if jhi < jlo:
                     r = np.full((b.k, b.n) if i else b.k, -np.inf if largest else np.inf)
                 elif i:
-                    r = _window_reduce(r, jlo, jhi, largest, -np.inf if largest else np.inf)
+                    # the window over the raw signal reads the batch's cached table
+                    levels = b.levels.setdefault((sig, largest), [r]) if i == inner else None
+                    r = _window_reduce(r, jlo, jhi, largest, -np.inf if largest else np.inf,
+                                       levels)
                 else:
                     win = r[:, jlo : jhi + 1]
                     r = win.max(axis=1) if largest else win.min(axis=1)

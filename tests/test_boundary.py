@@ -44,6 +44,20 @@ def test_argument_validation():
         BoundaryQuery(tpl, sp, [const_trace(5.0)]).g([1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0],
+                                 [1.0, np.nan], [1.0, np.inf], [1.0, -np.inf]])
+def test_g_rejects_non_finite_entries(bad):
+    tpl = parse_formula("F[0,$t](x > $c)")
+    ramp = Trace({"x": [0.0, 1.0, 2.0, 3.0, 4.0]}, period=1.0)
+    space = default_bounds(tpl, Dataset([ramp], [1]))
+    assert space.names == ["t", "c"]
+    query = BoundaryQuery(tpl, space, [ramp])
+    name = "t" if not np.isfinite(bad[0]) else "c"
+    with pytest.raises(InstantiationError, match=rf"\${name} must be finite"):
+        query.g(bad)
+    assert query.g([2.0, 1.0]) == 1.0
+
+
 def test_min_robustness_over_traces():
     phi_template = parse_formula("x > $c")
     traces = [const_trace(5.0), const_trace(2.0)]

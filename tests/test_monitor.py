@@ -1,6 +1,9 @@
 """Robustness and Boolean monitoring on the sample grid."""
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -315,3 +318,13 @@ def test_until_on_long_traces_matches_bruteforce():
             group = [trace for trace in traces if trace.contains_time(t)]
             want = [brute_robustness(phi, trace, t) for trace in group]
             assert robustness_many(phi, group, t).tolist() == want, (phi, t)
+
+
+def test_import_loads_no_scipy():
+    # the window kernel is numpy only: importing scipy.ndimage costs a process
+    # about 0.2 s and 26 MB
+    code = ("import sys, stlmine, stlmine.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
