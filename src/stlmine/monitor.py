@@ -16,7 +16,7 @@ or min of the 2^p samples from it on (fewer at the end of the grid), built
 from level p-1 by one pairwise max or min, and a window of w samples is the
 max or min of two overlapping level-floor(log2 w) spans.  A window cut off by
 the end of the grid reduces the samples that exist.  ``_rob`` builds the
-levels of each fresh child array in that array and one scratch array; a
+levels of each fresh child array in that array and its output array; a
 batch caches the levels of each raw signal, per direction, as deep as a
 window has asked, and a chain (below) reads its window over the raw signal
 from them.  Both pair the same samples in the same order, so they give the
@@ -163,7 +163,8 @@ def _window_reduce(
     first sample and one ending at its last; a window cut off by the end of
     the grid fits in its first span alone.  Without ``levels`` the table is
     built in ``arr`` (or in a contiguous copy of it), which the caller gives
-    up, and one scratch array.
+    up, and one new array, and the result takes whichever of the two does not
+    hold the last level.
     ``levels`` is a cached table of ``arr`` (``levels[0] is arr``), extended
     here as deep as the window needs.  Both pair the same samples in the same
     order, so they give the same bytes.
@@ -175,14 +176,13 @@ def _window_reduce(
     if levels is not None:
         while len(levels) <= p:
             levels.append(_double(levels[-1], 1 << (len(levels) - 1), op, np.empty((k, n))))
-        span = levels[p]
-    else:
-        span, dst = np.ascontiguousarray(arr), np.empty((k, n)) if p else None
+        span, out = levels[p], np.empty((k, n))
+    else:  # ping-pong between arr and one new array; the one not holding level p is out
+        span, out = np.ascontiguousarray(arr), np.empty((k, n))
         for i in range(p):
-            span, dst = _double(span, 1 << i, op, dst), span
+            span, out = _double(span, 1 << i, op, out), span
     # columns q < c pair two spans; the row-crossing pairs of the flat pass
     # land in columns c.. of out, which the first span and fill overwrite
-    out = np.empty((k, n))
     c, jmid = n - 1 - jhi + (1 << p), jhi + 1 - (1 << p)
     size = (k - 1) * n + c
     flat = span.reshape(-1)
