@@ -15,7 +15,7 @@ import numpy as np
 
 from .boundary import BoundaryQuery
 from .enumeration import CallbackResult, Grammar, enumerate_templates
-from .errors import DataFormatError, TraceDomainError
+from .errors import DataFormatError, TraceDomainError, UnknownSignalError
 from .formula import Formula, TrueF
 from .monitor import _Batch, _check_concrete, _rob, _stack
 from .monitor import robustness_many  # noqa: F401  (patched by perfbench/tracer.py)
@@ -97,12 +97,18 @@ class LearnResult:
 
 def _label_batches(ds: Dataset, phi: Formula = TrueF()) -> tuple[list[_Batch], list[_Batch]]:
     """Label-0 and label-1 traces stacked for scoring at t=0; each must contain t=0."""
-    for i, tr in enumerate(ds.traces):
-        if not tr.contains_time(0.0):
-            name = ds.names[i] if ds.names else f"trace {i}"
-            raise TraceDomainError(
-                f"{name} covers [{tr.start_time}, {tr.end_time}]; traces must contain t=0")
-    return tuple([b for _, b in _stack(phi, ds.with_label(lab), 0.0)] for lab in (0, 1))
+    try:
+        return tuple([b for _, b in _stack(phi, ds.with_label(lab), 0.0)] for lab in (0, 1))
+    except (TraceDomainError, UnknownSignalError):
+        # name the first trace, in dataset order, that misses t=0; that error
+        # comes before an unknown signal's
+        for i, tr in enumerate(ds.traces):
+            if not tr.contains_time(0.0):
+                name = ds.names[i] if ds.names else f"trace {i}"
+                raise TraceDomainError(
+                    f"{name} covers [{tr.start_time}, {tr.end_time}]; traces must contain t=0"
+                ) from None
+        raise
 
 
 def _count_wrong(phi: Formula, batches, val: Valuation | None, mode: str, chain=None) -> int:

@@ -22,6 +22,14 @@ window has asked, and a chain (below) reads its window over the raw signal
 from them.  Both pair the same samples in the same order, so they give the
 same bytes.
 
+The single-time mode's F and G fold their window's samples left to right
+(``_fold``) over a time-major (samples x traces) copy of the window's
+columns, so numpy takes one pairwise max or min per sample across all
+traces at once instead of reducing each trace's row on its own.  A chain's
+window at t=0 folds the same samples in the same order; over the raw signal
+it reads them from a time-major copy of that signal, which the batch builds
+once, when a window first asks for it.
+
 Robustness follows the usual max/min semantics:
 
 * ``x > c`` and ``x >= c`` score ``x(t) - c``; the ``<`` forms score ``c - x(t)``
@@ -89,7 +97,7 @@ _EPS = 1e-9
 class _Batch:
     """Several same-shape traces stacked for vectorized evaluation."""
 
-    __slots__ = ("signals", "absmax", "levels", "period", "start", "n", "k")
+    __slots__ = ("signals", "absmax", "levels", "cols", "period", "start", "n", "k")
 
     def __init__(self, traces: list[Trace]):
         ref = traces[0]
@@ -105,6 +113,14 @@ class _Batch:
         self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
         # (signal, largest) -> doubling table of that raw signal, built as deep as asked
         self.levels: dict[tuple[str, bool], list[np.ndarray]] = {}
+        # signal -> time-major (samples x traces) copy of it, built when first asked for
+        self.cols: dict[str, np.ndarray] = {}
+
+    def time_major(self, sig: str) -> np.ndarray:
+        cols = self.cols.get(sig)
+        if cols is None:
+            cols = self.cols[sig] = np.ascontiguousarray(self.signals[sig].T)
+        return cols
 
     @staticmethod
     def group_key(tr: Trace):
@@ -192,6 +208,22 @@ def _window_reduce(
     return out
 
 
+def _fold(cols: np.ndarray, largest: bool) -> np.ndarray:
+    """Max (largest=True) or min over the rows of a (samples x traces) array,
+    folded left to right: ``op(...op(op(row 0, row 1), row 2)..., last row)``.
+
+    On a C-contiguous copy numpy reduces axis 0 one row at a time, each trace
+    in its own lane; a single trace is one contiguous run, which numpy would
+    split across SIMD accumulators, so it is folded by an accumulate instead.
+    The order fixes which of tied zeros of opposite sign comes out.
+    """
+    op = np.maximum if largest else np.minimum
+    cols = np.ascontiguousarray(cols)
+    if cols.shape[1] == 1:
+        return op.accumulate(cols, axis=0)[-1]
+    return op.reduce(cols, axis=0)
+
+
 def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarray:
     """out[q] = max over j in [q+jlo, q+jhi] of min(a2[j], min(a1[q..j-1])).
 
@@ -220,7 +252,8 @@ def _rob(
     given a (possibly off-grid) time ``t``, at that time only, shape (traces,).
 
     Operands of temporal operators are always evaluated on the grid; at a
-    time ``t`` the window is then reduced over its own samples only.
+    time ``t`` the window is then reduced over its own samples only, F and G
+    by a left-to-right fold over a time-major copy of them (``_fold``).
     Parameters of a template take their values from ``val``.  Every result
     is a fresh array, so a node may overwrite its left child's result.
     """
@@ -259,8 +292,7 @@ def _rob(
             arr = _rob(child, b, val)
             if t is None:
                 return _window_reduce(arr, jlo, jhi, largest, -BIG if largest else BIG)
-            win = arr[:, jlo : jhi + 1]
-            return win.max(axis=1) if largest else win.min(axis=1)
+            return _fold(arr.T[jlo : jhi + 1], largest)
         case Until(iv, l, r):
             jlo, jhi = _window(iv, b, val, t)
             if jhi < jlo:
@@ -325,9 +357,8 @@ class _Chain:
                     levels = b.levels.setdefault((sig, largest), [r]) if i == inner else None
                     r = _window_reduce(r, jlo, jhi, largest, -np.inf if largest else np.inf,
                                        levels)
-                else:
-                    win = r[:, jlo : jhi + 1]
-                    r = win.max(axis=1) if largest else win.min(axis=1)
+                else:  # the same fold as _rob's, over the batch's copy for the raw signal
+                    r = _fold((b.time_major(sig) if i == inner else r.T)[jlo : jhi + 1], largest)
             entry = self._cache[b, wins] = r, float(r.min() if self.rising else r.max())
         r = entry[1] if smallest else entry[0]
         c = _bound(self.atom.bound, val)
@@ -347,7 +378,9 @@ def _check_concrete(phi: Formula) -> None:
 
 def _stack(phi: Formula, traces: list[Trace], t: float) -> list[tuple[list[int], _Batch]]:
     """Check that every trace carries phi's signals and contains t, then stack
-    same-shape traces into one batch each; returns (trace indices, batch) pairs."""
+    same-shape traces into one batch each; returns (trace indices, batch) pairs.
+    Both checks read only the group key, so the first trace of each group
+    stands for the rest."""
     groups: dict[tuple, list[int]] = {}
     for i, tr in enumerate(traces):
         key = _Batch.group_key(tr)
@@ -357,11 +390,12 @@ def _stack(phi: Formula, traces: list[Trace], t: float) -> list[tuple[list[int],
                 raise UnknownSignalError(
                     f"formula uses unknown signal(s): {', '.join(sorted(missing))}"
                 )
-        if not tr.contains_time(t):
-            raise TraceDomainError(
-                f"t={t} outside trace domain [{tr.start_time}, {tr.end_time}]"
-            )
-        groups.setdefault(key, []).append(i)
+            if not tr.contains_time(t):
+                raise TraceDomainError(
+                    f"t={t} outside trace domain [{tr.start_time}, {tr.end_time}]"
+                )
+            groups[key] = []
+        groups[key].append(i)
     return [(idx, _Batch([traces[i] for i in idx])) for idx in groups.values()]
 
 

@@ -6,6 +6,7 @@ ordered by first occurrence on a pre-order walk of the template.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,6 +66,10 @@ class ParamSpace:
             if not p.lo < p.hi:
                 raise DegenerateBoundsError(
                     f"parameter {p.name}: bounds [{p.lo}, {p.hi}] are not a proper interval"
+                )
+            if not (math.isfinite(p.lo) and math.isfinite(p.hi)):
+                raise DegenerateBoundsError(
+                    f"parameter {p.name}: bounds [{p.lo}, {p.hi}] are not finite"
                 )
             if p.kind is ParamKind.TIME and p.lo < 0:
                 raise DegenerateBoundsError(

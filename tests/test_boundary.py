@@ -5,7 +5,7 @@ import pytest
 from stlmine.boundary import BoundaryQuery, RegionLog, _bracket, _Box, min_robustness
 from stlmine.datagen import gen_steps_and_sinusoids
 from stlmine.enumeration import FormulaDB, Grammar, enumerate_templates
-from stlmine.errors import InstantiationError, UnknownSignalError
+from stlmine.errors import DegenerateBoundsError, InstantiationError, UnknownSignalError
 from stlmine.formula import Polarity
 from stlmine.learner import _label_batches
 from stlmine.monitor import BIG
@@ -169,6 +169,20 @@ def test_query_checks_every_signal_set():
     traces = [ramp_trace(), Trace({"y": np.zeros(3)}, period=0.1)]
     with pytest.raises(UnknownSignalError, match="x"):
         BoundaryQuery(tpl, space, traces)
+
+
+@pytest.mark.parametrize("text, param", [
+    ("x > $c", ParamDef("c", ParamKind.VALUE, -np.inf, 10.0, Polarity.DECREASING)),
+    ("F[0,$t](x > 0)", ParamDef("t", ParamKind.TIME, 0.0, np.inf, Polarity.INCREASING)),
+])
+def test_query_over_an_infinite_box_is_refused(text, param):
+    # such a box would emit {'c': -inf}, or end in an OverflowError from the window
+    def points():
+        space = ParamSpace([param])
+        return list(BoundaryQuery(parse_formula(text), space, [ramp_trace()], max_points=5))
+
+    with pytest.raises(DegenerateBoundsError, match="not finite"):
+        points()
 
 
 def test_query_needs_every_template_parameter():

@@ -6,6 +6,7 @@ included.  A boundary query and the learner's MCR check reuse those caches
 across valuations, so the second test drives one query and one set of label
 batches through many valuations that share window offsets.
 """
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,6 +23,7 @@ from stlmine.monitor import BIG, _Batch, _Chain, _rob
 from stlmine.params import (
     ParamDef, ParamKind, ParamSpace, _window_error, default_bounds, instantiate,
 )
+from stlmine.parser import parse_formula
 from stlmine.traces import Trace
 from test_g_property import TEMPLATES
 from test_mcr_property import labeled_traces_of_two_shapes
@@ -110,6 +112,30 @@ def test_chain_g_is_a_python_float_equal_to_the_rob_minimum(chain_and_val, batch
         got = query.g([val[name] for name in space.names])
         assert type(got) is float
         assert got == want
+
+
+@pytest.mark.parametrize("text", [
+    "F[0,$t](x > $c)", "G[0,$t](x < $c)", "not F[0,$t](x >= $c)",
+    "F[2,$t](G[0,3](x > $c))", "not G[10,$t](not F[1,4](x <= $c))",
+])
+def test_chain_equals_rob_bit_for_bit_on_a_wide_batch(text):
+    # the anomaly shape, 500 traces of 101 samples; every trace holds a block of
+    # tied zeros of both signs in its windows and negative values elsewhere
+    rng = np.random.default_rng(7)
+    x = -rng.uniform(0.5, 2.0, (500, 101))
+    x[:, 10:60] = rng.choice([0.0, -0.0], (500, 50))
+    b = _Batch([Trace({"x": row}, 1.0) for row in x])
+    template = parse_formula(text)
+    chain = _Chain.of(template)
+    zeros = 0
+    for t in (0.0, 12.0, 30.0, 100.0):
+        for c in (0.0, -0.0):
+            val = {"t": t, "c": c}
+            want = _rob(template, b, val, 0.0)
+            assert chain.rob(b, val).tobytes() == want.tobytes(), (t, c)
+            assert chain.rob(b, val, smallest=True) == want.min()
+            zeros += np.count_nonzero(want == 0)
+    assert zeros  # the ties reach the results, so their signs are compared
 
 
 CHAIN_TEMPLATES = [(s, t) for group in TEMPLATES.values() for s, t in group

@@ -13,6 +13,7 @@ from stlmine.learner import (
     mcr,
     try_classifier,
 )
+from stlmine.monitor import robustness_many
 from stlmine.parser import parse_formula
 from stlmine.signatures import SignatureConfig, SignatureIndex
 from stlmine.traces import Dataset, Trace
@@ -179,6 +180,31 @@ def test_learn_symmetric_mode_scores_symmetrically():
     assert result.found
     phi = result.classifier.formula
     assert result.classifier.mcr == mcr(phi, ds, MCR_SYMMETRIC) == 0.0
+
+
+def test_stacking_errors_name_the_first_bad_trace_in_dataset_order():
+    # shape groups interleave, and the first trace that misses t=0 is a label-1
+    # trace, stacked after every label-0 one, although a label-0 trace misses it too
+    def trace(n, start):
+        return Trace({"x": [1.0] * n}, period=1.0, start_time=start)
+
+    traces = [trace(4, 0.0), trace(5, 0.0), trace(4, 1.0), trace(4, 0.0), trace(5, 2.0),
+              trace(5, 0.0), trace(4, 1.0)]
+    labels = [0, 1, 1, 0, 0, 1, 0]
+    ds = Dataset(traces, labels, [f"{c}.csv" for c in "abcdefg"])
+    with pytest.raises(TraceDomainError) as err:
+        learn(ds)
+    assert str(err.value) == "c.csv covers [1.0, 4.0]; traces must contain t=0"
+    # a formula over an unknown signal still reports the trace first
+    with pytest.raises(TraceDomainError) as err:
+        mcr(parse_formula("y > 0"), ds)
+    assert str(err.value) == "c.csv covers [1.0, 4.0]; traces must contain t=0"
+    with pytest.raises(TraceDomainError) as err:
+        robustness_many(parse_formula("x > 0"), traces)
+    assert str(err.value) == "t=0.0 outside trace domain [1.0, 4.0]"
+    with pytest.raises(TraceDomainError) as err:  # the first bad trace after trace 2
+        robustness_many(parse_formula("x > 0"), traces[3:])
+    assert str(err.value) == "t=0.0 outside trace domain [2.0, 6.0]"
 
 
 def test_learn_rejects_a_trace_without_time_zero_before_any_template(monkeypatch):

@@ -15,7 +15,9 @@ from stlmine.formula import (
     Param,
     Polarity,
 )
-from stlmine.params import ParamKind, default_bounds, instantiate, signal_ranges
+from stlmine.params import (
+    ParamDef, ParamKind, ParamSpace, default_bounds, instantiate, signal_ranges,
+)
 from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
 
@@ -97,6 +99,15 @@ def test_bounds_errors():
         default_bounds(parse_formula("F[0,$t](x > 0)"), single)
     with pytest.raises(Exception):
         default_bounds(parse_formula("y > $c"), ds_of([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind, lo, hi", [
+    (ParamKind.VALUE, -np.inf, 10.0), (ParamKind.VALUE, 0.0, np.inf),
+    (ParamKind.VALUE, -np.inf, np.inf), (ParamKind.TIME, 0.0, np.inf),
+])
+def test_space_refuses_infinite_bounds(kind, lo, hi):
+    with pytest.raises(DegenerateBoundsError, match="not finite"):
+        ParamSpace([ParamDef("c", kind, lo, hi, Polarity.INCREASING)])
 
 
 def test_bounds_check_the_signal_of_a_constant_threshold_atom():

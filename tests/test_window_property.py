@@ -1,6 +1,8 @@
-"""Property test: the sliding-window max/min kernel of the monitor against a
+"""Property tests: the sliding-window max/min kernel of the monitor against a
 brute-force loop over each window, and its cached doubling table against the
-table it builds per call."""
+table it builds per call; the single-time fold against a left-to-right loop."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlmine.monitor import BIG, _window_reduce
+from stlmine.monitor import BIG, _fold, _window_reduce
 
 # ±0.0 and repeated values give ties; ±inf is what a chain's empty window holds
 VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -64,3 +66,44 @@ def test_window_reduce_matches_bruteforce(case):
     _window_reduce(levels[0], 0, n - 1, largest, fill, levels)
     again = _window_reduce(levels[0], jlo, jhi, largest, fill, levels)
     assert again.tobytes() == cached.tobytes()
+
+
+def left_fold(cols, largest):
+    """Each column folded from its first row to its last, one scalar at a time."""
+    op = np.maximum if largest else np.minimum
+    return np.array([functools.reduce(op, column) for column in cols.T])
+
+
+@st.composite
+def time_major_windows(draw):
+    """A (w, k) window of samples x traces, with ties between ±0.0 and ±inf."""
+    w, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    cols = np.array(draw(st.lists(VALUES, min_size=w * k, max_size=w * k))).reshape(w, k)
+    return cols, draw(st.booleans())
+
+
+@settings(max_examples=600, deadline=None)
+@given(time_major_windows())
+@example((np.array([[0.0], [-0.0], [0.0], [-0.0], [1.0], [-0.0], [0.0], [0.0], [-0.0]]), True))
+@example((np.array([[-0.0], [0.0], [-0.0], [0.0], [-1.0], [0.0], [-0.0], [-0.0], [0.0]]), False))
+@example((np.array([[0.0, -0.0, np.inf]]), True))  # w=1
+@example((np.array([[np.inf, -np.inf], [-np.inf, np.inf], [np.inf, np.inf]]), False))
+def test_fold_matches_a_left_to_right_loop(case):
+    cols, largest = case
+    want = left_fold(cols, largest)
+    assert _fold(cols, largest).tobytes() == want.tobytes()
+    # a transposed view of a trace-major array, as _rob passes it, is copied first
+    rows = np.ascontiguousarray(cols.T)
+    assert _fold(rows.T, largest).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("largest", [True, False])
+@pytest.mark.parametrize("w", [1, 2, 64, 101])
+def test_fold_matches_a_left_to_right_loop_on_wide_batches(w, largest):
+    # as many traces as an anomaly batch, over up to its 101 samples, mostly zeros
+    rng = np.random.default_rng(w)
+    cols = rng.choice(np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]), (w, 500))
+    assert _fold(cols, largest).tobytes() == left_fold(cols, largest).tobytes()
+    # one trace of 101 samples: numpy would reduce its one contiguous run out of order
+    one = np.ascontiguousarray(rng.choice([0.0, -0.0], (101, 1)))
+    assert _fold(one, largest).tobytes() == left_fold(one, largest).tobytes()
