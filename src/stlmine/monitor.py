@@ -25,7 +25,8 @@ same bytes.
 The single-time mode's F and G fold their window's samples left to right
 (``_fold``) over a time-major (samples x traces) copy of the window's
 columns, so numpy takes one pairwise max or min per sample across all
-traces at once instead of reducing each trace's row on its own.  A chain's
+traces at once instead of reducing each trace's row on its own (a batch of
+a few traces accumulates along each trace, the same fold).  A chain's
 window at t=0 folds the same samples in the same order; over the raw signal
 it reads them from a time-major copy of that signal, which the batch builds
 once, when a window first asks for it.
@@ -208,20 +209,26 @@ def _window_reduce(
     return out
 
 
+# below this many traces, accumulating along each trace is the cheaper fold
+# (about 2 of 5.5 us saved per call at 3 to 9 traces of 51 samples, numpy 2.4)
+_FOLD_ACROSS_MIN = 12
+
+
 def _fold(cols: np.ndarray, largest: bool) -> np.ndarray:
     """Max (largest=True) or min over the rows of a (samples x traces) array,
     folded left to right: ``op(...op(op(row 0, row 1), row 2)..., last row)``.
 
-    On a C-contiguous copy numpy reduces axis 0 one row at a time, each trace
-    in its own lane; a single trace is one contiguous run, which numpy would
-    split across SIMD accumulators, so it is folded by an accumulate instead.
-    The order fixes which of tied zeros of opposite sign comes out.
+    Over many traces numpy reduces axis 0 of a C-contiguous copy one row at a
+    time, each trace in its own lane.  Over a few it accumulates along each
+    trace instead, which numpy cannot reorder (a reduce would split a single
+    trace's contiguous run across SIMD accumulators).  Both are the same
+    fold, whose order fixes which of tied zeros of opposite sign comes out.
+    The result is contiguous, so that ``_rob`` may negate it in place.
     """
     op = np.maximum if largest else np.minimum
-    cols = np.ascontiguousarray(cols)
-    if cols.shape[1] == 1:
-        return op.accumulate(cols, axis=0)[-1]
-    return op.reduce(cols, axis=0)
+    if cols.shape[1] < _FOLD_ACROSS_MIN:
+        return op.accumulate(cols, axis=0, out=np.empty(cols.shape))[-1]
+    return op.reduce(np.ascontiguousarray(cols), axis=0)
 
 
 def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarray:

@@ -76,8 +76,9 @@ def left_fold(cols, largest):
 
 @st.composite
 def time_major_windows(draw):
-    """A (w, k) window of samples x traces, with ties between ±0.0 and ±inf."""
-    w, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    """A (w, k) window of samples x traces, with ties between ±0.0 and ±inf;
+    up to 16 traces, so that both ways of folding are drawn."""
+    w, k = draw(st.integers(1, 12)), draw(st.integers(1, 16))
     cols = np.array(draw(st.lists(VALUES, min_size=w * k, max_size=w * k))).reshape(w, k)
     return cols, draw(st.booleans())
 
@@ -92,7 +93,7 @@ def test_fold_matches_a_left_to_right_loop(case):
     cols, largest = case
     want = left_fold(cols, largest)
     assert _fold(cols, largest).tobytes() == want.tobytes()
-    # a transposed view of a trace-major array, as _rob passes it, is copied first
+    # a transposed view of a trace-major array, as _rob passes it
     rows = np.ascontiguousarray(cols.T)
     assert _fold(rows.T, largest).tobytes() == want.tobytes()
 
@@ -107,3 +108,17 @@ def test_fold_matches_a_left_to_right_loop_on_wide_batches(w, largest):
     # one trace of 101 samples: numpy would reduce its one contiguous run out of order
     one = np.ascontiguousarray(rng.choice([0.0, -0.0], (101, 1)))
     assert _fold(one, largest).tobytes() == left_fold(one, largest).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+def test_fold_results_negate_in_place(k):
+    # _rob's Not negates its child's result in place, and numpy 2.4.6 negates
+    # a float64 view with a 64-byte stride in place wrongly (such as the last
+    # row of an (8 x k) Fortran-ordered array), so a fold must not return one
+    rows = np.random.default_rng(k).normal(size=(k, 20))
+    for w in range(1, 21):
+        for largest in (True, False):
+            out = _fold(rows.T[:w], largest)
+            want = -left_fold(rows.T[:w], largest)
+            np.negative(out, out=out)
+            assert out.tobytes() == want.tobytes(), w
