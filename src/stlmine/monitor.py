@@ -210,7 +210,7 @@ def _window_reduce(
 
 
 # below this many traces, accumulating along each trace is the cheaper fold
-# (about 2 of 5.5 us saved per call at 3 to 9 traces of 51 samples, numpy 2.4)
+# (about 2 of 6 us per call at 3 to 9 traces of 51 samples, numpy 2.4)
 _FOLD_ACROSS_MIN = 12
 
 
@@ -260,7 +260,7 @@ def _rob(
 
     Operands of temporal operators are always evaluated on the grid; at a
     time ``t`` the window is then reduced over its own samples only, F and G
-    by a left-to-right fold over a time-major copy of them (``_fold``).
+    by a left-to-right fold of them (``_fold``).
     Parameters of a template take their values from ``val``.  Every result
     is a fresh array, so a node may overwrite its left child's result.
     """
