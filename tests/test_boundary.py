@@ -177,12 +177,8 @@ def test_query_checks_every_signal_set():
 ])
 def test_query_over_an_infinite_box_is_refused(text, param):
     # such a box would emit {'c': -inf}, or end in an OverflowError from the window
-    def points():
-        space = ParamSpace([param])
-        return list(BoundaryQuery(parse_formula(text), space, [ramp_trace()], max_points=5))
-
     with pytest.raises(DegenerateBoundsError, match="not finite"):
-        points()
+        list(BoundaryQuery(parse_formula(text), ParamSpace([param]), [ramp_trace()], max_points=5))
 
 
 def test_query_needs_every_template_parameter():
