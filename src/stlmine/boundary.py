@@ -27,11 +27,11 @@ bracket is at most twice what halvings alone would have left, so a crossing
 box costs at most L + 2 probes besides its corners, against L for bisection;
 on smooth g the secant needs far fewer.
 
-For a template that is one atom under ``not``/``F``/``G``, robustness is
-monotone in a window reduction of the raw signal (``monitor._Chain``), so g
-scores that reduction's extreme over the traces, cached per batch and window
-offsets: a g call on known offsets is one lookup and one subtraction, and
-equals what ``_rob`` gives.
+g scores through ``monitor._Scorer``.  For a template that is one atom under
+``not``/``F``/``G``, robustness is monotone in a window reduction of the raw
+signal, so g scores that reduction's extreme over the traces, cached per
+batch and window offsets: a g call on known offsets is one lookup and one
+subtraction.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InstantiationError, SearchLimitError
 from .formula import Formula, Polarity, parameters
-from .monitor import _Chain, _rob, _stack, robustness_many
+from .monitor import _Scorer, _stack, robustness_many
 from .params import ParamSpace, Valuation, instantiate
 from .traces import Trace
 
@@ -128,24 +128,25 @@ class BoundaryQuery:
     ):
         if not traces:
             raise ValueError("boundary search needs at least one trace")
-        self._setup(template, space, delta, diag_tol, max_points, keep_log)
+        self._setup(_Scorer(template), space, delta, diag_tol, max_points, keep_log)
         # checked and stacked here once, instead of on every g call
         self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
 
     @classmethod
-    def _from_batches(cls, template, space, batches, *, delta, diag_tol, max_points):
+    def _from_batches(cls, scorer, space, batches, *, delta, diag_tol, max_points):
         """A query over label-1 traces already checked and stacked by the caller."""
         query = cls.__new__(cls)
-        query._setup(template, space, delta, diag_tol, max_points, keep_log=False)
+        query._setup(scorer, space, delta, diag_tol, max_points, keep_log=False)
         query._batches = batches
         return query
 
-    def _setup(self, template, space, delta, diag_tol, max_points, keep_log):
+    def _setup(self, scorer, space, delta, diag_tol, max_points, keep_log):
         if not (0 < delta < 1):
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if not (0 < diag_tol < delta):
             raise ValueError(f"need 0 < diag_tol < delta, got diag_tol={diag_tol} delta={delta}")
-        self.template = template
+        self.template = scorer.template
+        self._scorer = scorer
         self.space = space
         self.delta = delta
         self.diag_tol = diag_tol
@@ -153,9 +154,8 @@ class BoundaryQuery:
         self.points_emitted = 0
         self.g_evaluations = 0
         self.log = RegionLog() if keep_log else None
-        self._chain = _Chain.of(template)
         self._names = space.names
-        missing = [name for name in parameters(template) if name not in self._names]
+        missing = [name for name in parameters(self.template) if name not in self._names]
         if missing:
             raise InstantiationError(f"no value for parameter ${missing[0]}")
 
@@ -197,14 +197,7 @@ class BoundaryQuery:
         """``g`` without the checks, for the search's own points inside the box."""
         self.g_evaluations += 1
         val = dict(zip(self._names, vec.tolist()))
-        if self._chain is not None:
-            return min(self._chain.rob(b, val, smallest=True) for b in self._batches)
-        return min(float(_rob(self.template, b, val, 0.0).min()) for b in self._batches)
-
-    def _corners(self, box: _Box) -> tuple[np.ndarray, np.ndarray]:
-        hard = np.where(self._hard_is_high, box.hi, box.lo)
-        easy = np.where(self._hard_is_high, box.lo, box.hi)
-        return hard, easy
+        return min(self._scorer.rob(b, val, smallest=True) for b in self._batches)
 
     def __iter__(self):
         return self
@@ -220,7 +213,8 @@ class BoundaryQuery:
                     f"boundary search exceeded the hard cap of {HARD_BOX_CAP} boxes"
                 )
             box = self._queue.popleft()
-            hard, easy = self._corners(box)
+            hard = np.where(self._hard_is_high, box.hi, box.lo)
+            easy = np.where(self._hard_is_high, box.lo, box.hi)
             g_hard = self._g(hard)
             if g_hard > 0:
                 if self.log is not None:

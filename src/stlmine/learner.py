@@ -17,7 +17,7 @@ from .boundary import BoundaryQuery
 from .enumeration import CallbackResult, Grammar, enumerate_templates
 from .errors import DataFormatError, TraceDomainError, UnknownSignalError
 from .formula import Formula, TrueF
-from .monitor import _Batch, _check_concrete, _rob, _stack
+from .monitor import _Batch, _check_concrete, _Scorer, _stack
 from .monitor import robustness_many  # noqa: F401  (patched by perfbench/tracer.py)
 from .params import Valuation, _window_error, default_bounds, instantiate
 from .signatures import SignatureConfig, SignatureIndex
@@ -111,14 +111,13 @@ def _label_batches(ds: Dataset, phi: Formula = TrueF()) -> tuple[list[_Batch], l
         raise
 
 
-def _count_wrong(phi: Formula, batches, val: Valuation | None, mode: str, chain=None) -> int:
-    """The traces ``mcr`` counts as wrong; a template reads its parameters from
-    ``val``, and scores through ``chain``, its ``_Chain``, if given."""
-    rob = chain.rob if chain is not None else lambda b, v: _rob(phi, b, v, 0.0)
+def _count_wrong(scorer: _Scorer, batches, val: Valuation | None, mode: str) -> int:
+    """The traces ``mcr`` counts as wrong, scored through ``scorer``; a template
+    reads its parameters from ``val``."""
     neg, pos = batches
-    wrong = sum(np.count_nonzero(rob(b, val) > 0) for b in neg)
+    wrong = sum(np.count_nonzero(scorer.rob(b, val) > 0) for b in neg)
     if mode == MCR_SYMMETRIC:
-        wrong += sum(b.k - np.count_nonzero(rob(b, val) > 0) for b in pos)
+        wrong += sum(b.k - np.count_nonzero(scorer.rob(b, val) > 0) for b in pos)
     elif mode != MCR_ONESIDED:
         raise ValueError(f"unknown mcr mode {mode!r}")
     return int(wrong)  # a Python int, so that the rate is a Python float
@@ -135,7 +134,7 @@ def mcr(phi: Formula, ds: Dataset, mode: str = MCR_ONESIDED) -> float:
     if ds.n == 0:
         raise DataFormatError("cannot score an empty dataset")
     _check_concrete(phi)
-    return _count_wrong(phi, _label_batches(ds, phi), None, mode) / ds.n
+    return _count_wrong(_Scorer(phi), _label_batches(ds, phi), None, mode) / ds.n
 
 
 def try_classifier(
@@ -163,14 +162,15 @@ def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
 
     if not batches[1]:
         raise DataFormatError("boundary fitting needs at least one label-1 trace")
-    query = BoundaryQuery._from_batches(template, space, batches[1], delta=cfg.delta,
+    # one scorer for g and the MCR check, so that they share label-1 reductions
+    scorer = _Scorer(template)
+    query = BoundaryQuery._from_batches(scorer, space, batches[1], delta=cfg.delta,
                                         diag_tol=cfg.diag_tol, max_points=cfg.max_boundary_points)
     for valuation in query:
         stats.boundary_points += 1
         if _window_error(template, valuation):
             continue  # an inverted two-sided window: legal point, degenerate formula
-        # the query's chain, so that label-1 reductions are shared with g
-        score = _count_wrong(template, batches, valuation, cfg.mcr_mode, query._chain) / ds.n
+        score = _count_wrong(scorer, batches, valuation, cfg.mcr_mode) / ds.n
         if score < cfg.threshold:
             phi = instantiate(template, valuation)
             classifier = LearnedClassifier(phi, score, template, valuation, stats)

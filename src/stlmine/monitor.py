@@ -53,15 +53,16 @@ value is already within bounds, so the results equal clipping everywhere.
 A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
 
-A template ``(not | F_I | G_I)* (x ~ c)`` factors through its threshold at
-t=0 (``_Chain``).  With the negations pushed down to the atom, each window
-takes the max or the min of the raw signal x, and robustness is ``x - c`` or
-``c - x`` of that composed reduction R, negated once per ``not`` and clipped
-to [-BIG, BIG].  Rounding a difference, negation and the clip are monotone,
-so they commute with max and min bit for bit, the sign of zero included.
-Where ``_rob`` writes ±BIG, R holds the reduction's identity ±inf, which the
-clip turns into the same ±BIG.  R depends on a valuation only through the
-window offsets, so it is computed once for many thresholds.
+A template ``(not | F_I | G_I)* (x ~ c)`` factors through its threshold at t=0
+(``_Scorer``, which scores every other template by ``_rob``).  With the
+negations pushed down to the atom, each window takes the max or the min of the
+raw signal x, and robustness is ``x - c`` or ``c - x`` of that composed
+reduction R, negated once per ``not`` and clipped to [-BIG, BIG].  Rounding a
+difference, negation and the clip are monotone, so they commute with max and
+min bit for bit, the sign of zero included.  Where ``_rob`` writes ±BIG, R
+holds the reduction's identity ±inf, which the clip turns into the same ±BIG.
+R depends on a valuation only through the window offsets, so it is computed
+once for many thresholds.
 """
 from __future__ import annotations
 
@@ -122,10 +123,6 @@ class _Batch:
         if cols is None:
             cols = self.cols[sig] = np.ascontiguousarray(self.signals[sig].T)
         return cols
-
-    @staticmethod
-    def group_key(tr: Trace):
-        return (tr.signal_names, tr.n_samples, tr.period, tr.start_time)
 
 
 def _bound(b: Bound, val: dict[str, float] | None) -> float:
@@ -318,37 +315,36 @@ def _rob(
     raise TypeError(f"cannot evaluate {node!r}")
 
 
-class _Chain:
-    """Robustness at t=0 of a template ``(not | F_I | G_I)* (x ~ c)`` from R, the
-    composed window max/min of x (see the module docstring).  R and its extreme
-    are cached per batch and window offsets, one value per trace each."""
+class _Scorer:
+    """Robustness at t=0 of one template.  A chain ``(not | F_I | G_I)* (x ~ c)``
+    with at least one window is scored from R, the composed window max/min of x
+    (see the module docstring), with R and its extreme cached per batch and
+    window offsets; any other template by ``_rob``, and ``ops`` is None."""
 
-    def __init__(self, ops: list[tuple[Interval, bool]], atom: Atom, odd: bool):
-        self.ops, self.atom, self.odd, self._cache = ops, atom, odd, {}
-        self.rising = (atom.op in (">", ">=")) != odd  # robustness rises with R
-
-    @classmethod
-    def of(cls, template: Formula) -> _Chain | None:
-        """The chain of a template of that shape with at least one window, else None."""
+    def __init__(self, template: Formula):
+        self.template, self.ops, self._cache = template, None, {}
         ops, odd, node = [], False, template
-        while not isinstance(node, Atom):
-            match node:
-                case Not(child):
-                    odd, node = not odd, child
-                case Finally(iv, child) | Globally(iv, child):
-                    ops.append((iv, isinstance(node, Finally), odd))
-                    node = child
-                case _:
-                    return None
+        while isinstance(node, (Not, Finally, Globally)):
+            if isinstance(node, Not):
+                odd = not odd
+            else:
+                ops.append((node.interval, isinstance(node, Finally), odd))
+            node = node.child
+        if not ops or not isinstance(node, Atom):
+            return
         # a window takes the max of x if it is an F, flipped by each not below
         # it (all nots but those above it) and by a < atom
         less = node.op in ("<", "<=")
-        ops = [(iv, f ^ odd ^ above ^ less) for iv, f, above in ops]
-        return cls(ops, node, odd) if ops else None
+        self.ops = [(iv, f ^ odd ^ above ^ less) for iv, f, above in ops]
+        self.atom, self.odd = node, odd
+        self.rising = (node.op in (">", ">=")) != odd  # robustness rises with R
 
     def rob(self, b: _Batch, val, smallest: bool = False) -> np.ndarray | float:
         """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``;
         with ``smallest``, the minimum over the traces as a Python float."""
+        if self.ops is None:
+            out = _rob(self.template, b, val, 0.0)
+            return float(out.min()) if smallest else out
         # the outermost window is reduced at t=0, every inner one on the grid
         wins = tuple(_window(iv, b, val, None if i else 0.0) for i, (iv, _) in enumerate(self.ops))
         entry = self._cache.get((b, wins))
@@ -390,7 +386,7 @@ def _stack(phi: Formula, traces: list[Trace], t: float) -> list[tuple[list[int],
     stands for the rest."""
     groups: dict[tuple, list[int]] = {}
     for i, tr in enumerate(traces):
-        key = _Batch.group_key(tr)
+        key = (tr.signal_names, tr.n_samples, tr.period, tr.start_time)
         if key not in groups:
             missing = signals_of(phi) - set(tr.signal_names)
             if missing:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Formula, TrueF
-from .monitor import _rob, _stack
+from .monitor import _Scorer, _stack
 from .monitor import robustness  # noqa: F401  (patched by perfbench/tracer.py)
 from .params import ParamSpace, default_bounds
 from .params import instantiate  # noqa: F401  (patched by perfbench/tracer.py)
@@ -84,9 +84,10 @@ class SignatureIndex:
         cfg = self.config
         vals = self.valuations(space)
         mat = np.empty((len(self.probe_traces), len(vals)))
+        rob = _Scorer(template).rob
         for j, v in enumerate(vals):
             for idx, batch in self._batches:
-                mat[idx, j] = _rob(template, batch, v, 0.0)
+                mat[idx, j] = rob(batch, v)
         q = np.round(mat / cfg.quantum).astype(np.int64)
         return (space.dim, q.shape, q.tobytes())
 

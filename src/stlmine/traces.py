@@ -37,9 +37,11 @@ class Trace:
     __slots__ = ("_signals", "period", "start_time", "n_samples")
 
     def __init__(self, signals, period, start_time=0.0):
-        period = float(period)
+        period, start_time = float(period), float(start_time)
         if not (period > 0) or not math.isfinite(period):
             raise DataFormatError(f"period must be positive and finite, got {period}")
+        if not math.isfinite(start_time):
+            raise DataFormatError(f"start time must be finite, got {start_time}")
         store: dict[str, np.ndarray] = {}
         n = None
         for name, values in dict(signals).items():
@@ -60,7 +62,7 @@ class Trace:
             raise DataFormatError("a trace needs at least one signal")
         self._signals = store
         self.period = period
-        self.start_time = float(start_time)
+        self.start_time = start_time
         self.n_samples = n
 
     @property
@@ -208,8 +210,10 @@ def load_trace_csv(path) -> Trace:
     if not header or header[0] != "time" or len(header) < 2:
         raise DataFormatError(f"{path}: header must be 'time,<sig1>,...', got {header}")
     sig_names = header[1:]
-    if len(set(sig_names)) != len(sig_names):
-        raise DataFormatError(f"{path}: duplicate signal column names")
+    if not all(sig_names) or len(set(sig_names)) != len(sig_names):
+        raise DataFormatError(f"{path}: signal names must be non-empty and distinct, got {header}")
+    if len(rows) == 1:
+        raise DataFormatError(f"{path}: no samples after the header")
     data = []
     for lineno, row in rows[1:]:
         if len(row) != len(header):
@@ -221,6 +225,11 @@ def load_trace_csv(path) -> Trace:
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     arr = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(arr).all():  # 'nan', 'inf', or text like '1e400' that overflows
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        lineno, row = rows[i + 1]
+        raise DataFormatError(
+            f"{path}:{lineno}: non-finite value {row[j].strip()!r} in column {header[j]!r}")
     times = arr[:, 0]
     if arr.shape[0] == 1:
         period = 1.0

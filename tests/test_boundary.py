@@ -8,7 +8,7 @@ from stlmine.enumeration import FormulaDB, Grammar, enumerate_templates
 from stlmine.errors import DegenerateBoundsError, InstantiationError, UnknownSignalError
 from stlmine.formula import Polarity
 from stlmine.learner import _label_batches
-from stlmine.monitor import BIG
+from stlmine.monitor import BIG, _Scorer
 from stlmine.params import ParamDef, ParamKind, ParamSpace, default_bounds
 from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
@@ -199,7 +199,7 @@ def test_query_on_shared_stacks_matches_a_query_on_traces():
         space = default_bounds(template, ds)
         opts = dict(delta=0.01, diag_tol=1e-3, max_points=40)
         direct = BoundaryQuery(template, space, ds.with_label(1), **opts)
-        shared = BoundaryQuery._from_batches(template, space, positives, **opts)
+        shared = BoundaryQuery._from_batches(_Scorer(template), space, positives, **opts)
         assert list(shared) == list(direct), template
         assert shared.g_evaluations == direct.g_evaluations, template
 

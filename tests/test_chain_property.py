@@ -1,10 +1,10 @@
 """Property tests for single-atom temporal chains, ``(not | F_I | G_I)* (x ~ c)``.
 
-The chain evaluator scores such a template from cached window reductions of
-the raw signal; it must give the bytes ``_rob`` gives, the sign of zero
-included.  A boundary query and the learner's MCR check reuse those caches
-across valuations, so the second test drives one query and one set of label
-batches through many valuations that share window offsets.
+The scorer scores such a template from cached window reductions of the raw
+signal; it must give the bytes ``_rob`` gives, the sign of zero included.  A
+boundary query and the learner's MCR check share one scorer and reuse its
+caches across valuations, so the last test drives one query and one set of
+label batches through many valuations that share window offsets.
 """
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from stlmine.formula import (
     And, Atom, Const, Finally, Globally, Interval, Not, Param, TrueF, Until, infer_polarity,
 )
 from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
-from stlmine.monitor import BIG, _Batch, _Chain, _rob
+from stlmine.monitor import BIG, _Batch, _rob, _Scorer
 from stlmine.params import (
     ParamDef, ParamKind, ParamSpace, _window_error, default_bounds, instantiate,
 )
@@ -76,18 +76,18 @@ def batches_of_two_shapes(draw):
 def test_only_single_atom_chains_factor():
     x = Atom("x", ">", Const(0.0))
     iv = Interval(Const(0.0), Const(1.0))
-    assert _Chain.of(Not(Globally(iv, Finally(iv, Not(x))))) is not None
-    assert _Chain.of(Finally(iv, x)) is not None
+    assert _Scorer(Not(Globally(iv, Finally(iv, Not(x))))).ops is not None
+    assert _Scorer(Finally(iv, x)).ops is not None
     for other in (x, Not(x), TrueF(), Finally(iv, And(x, x)), Not(Until(iv, x, x)),
                   Globally(iv, TrueF())):
-        assert _Chain.of(other) is None
+        assert _Scorer(other).ops is None
 
 
 @settings(max_examples=600, deadline=None)
 @given(chains(), batches_of_two_shapes())
 def test_chain_equals_rob_bit_for_bit(chain_and_val, batches):
     template, val = chain_and_val
-    chain = _Chain.of(template)
+    chain = _Scorer(template)
     for b in batches:
         want = _rob(template, b, val, 0.0)
         assert chain.rob(b, val).tobytes() == want.tobytes()
@@ -105,7 +105,7 @@ def test_chain_g_is_a_python_float_equal_to_the_rob_minimum(chain_and_val, batch
     polarity = infer_polarity(template)
     space = ParamSpace([ParamDef(name, ParamKind.VALUE if name == "p1" else ParamKind.TIME,
                                  0.0, 1.0, polarity[name]) for name in val])
-    query = BoundaryQuery._from_batches(template, space, batches, delta=0.01,
+    query = BoundaryQuery._from_batches(_Scorer(template), space, batches, delta=0.01,
                                         diag_tol=1e-3, max_points=None)
     want = min(float(_rob(template, b, val, 0.0).min()) for b in batches)
     for _ in range(2):  # the second call reads the cache
@@ -126,7 +126,7 @@ def test_chain_equals_rob_bit_for_bit_on_a_wide_batch(text):
     x[:, 10:60] = rng.choice([0.0, -0.0], (500, 50))
     b = _Batch([Trace({"x": row}, 1.0) for row in x])
     template = parse_formula(text)
-    chain = _Chain.of(template)
+    chain = _Scorer(template)
     zeros = 0
     for t in (0.0, 12.0, 30.0, 100.0):
         for c in (0.0, -0.0):
@@ -138,8 +138,17 @@ def test_chain_equals_rob_bit_for_bit_on_a_wide_batch(text):
     assert zeros  # the ties reach the results, so their signs are compared
 
 
+def _rob_wrong(template, batches, val, mode):
+    """The traces ``_count_wrong`` counts as wrong, scored by ``_rob`` itself."""
+    neg, pos = batches
+    wrong = sum(np.count_nonzero(_rob(template, b, val, 0.0) > 0) for b in neg)
+    if mode == MCR_SYMMETRIC:
+        wrong += sum(b.k - np.count_nonzero(_rob(template, b, val, 0.0) > 0) for b in pos)
+    return wrong
+
+
 CHAIN_TEMPLATES = [(s, t) for group in TEMPLATES.values() for s, t in group
-                   if _Chain.of(t) is not None]
+                   if _Scorer(t).ops is not None]
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +159,8 @@ def test_warm_caches_match_fresh_queries_and_mcr(data):
     space = default_bounds(template, ds)
     batches = _label_batches(ds)
     positives = ds.with_label(1)
-    query = BoundaryQuery._from_batches(template, space, batches[1], delta=0.01,
+    scorer = _Scorer(template)
+    query = BoundaryQuery._from_batches(scorer, space, batches[1], delta=0.01,
                                         diag_tol=1e-3, max_points=None)
     # two settings of the time parameters, taken in turn, each under many thresholds
     eighths = [st.integers(0, 8).map(lambda k, p=p: p.lo + k * (p.hi - p.lo) / 8)
@@ -169,9 +179,9 @@ def test_warm_caches_match_fresh_queries_and_mcr(data):
 
         phi = None if _window_error(template, valuation) else instantiate(template, valuation)
         for mode in (MCR_ONESIDED, MCR_SYMMETRIC):
-            wrong = _count_wrong(template, batches, valuation, mode, query._chain)
-            assert wrong == _count_wrong(template, batches, valuation, mode)
+            wrong = _count_wrong(scorer, batches, valuation, mode)
+            assert wrong == _rob_wrong(template, batches, valuation, mode)
             if phi is not None:
                 assert wrong / ds.n == mcr(phi, ds, mode)
     # one entry per batch and window offsets: the thresholds share them
-    assert len(query._chain._cache) <= 2 * (len(batches[0]) + len(batches[1]))
+    assert len(scorer._cache) <= 2 * (len(batches[0]) + len(batches[1]))

@@ -12,6 +12,7 @@ from oracles import brute_robustness
 from stlmine.errors import InstantiationError
 from stlmine.formula import Finally, Globally, Until, iter_nodes
 from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
+from stlmine.monitor import _Scorer
 from stlmine.params import _window_error, default_bounds, instantiate
 from stlmine.traces import Dataset, Trace
 from test_g_property import TEMPLATES, _value_in  # templates up to length 3, box values
@@ -68,7 +69,7 @@ def test_template_score_equals_mcr_of_instantiated_formula(data):
     if phi is None:
         return
     for mode in (MCR_ONESIDED, MCR_SYMMETRIC):
-        wrong = _count_wrong(template, batches, valuation, mode)
+        wrong = _count_wrong(_Scorer(template), batches, valuation, mode)
         rate = mcr(phi, ds, mode)
         assert type(rate) is float and wrong / ds.n == rate
         assert wrong == _oracle_wrong(phi, ds, mode)

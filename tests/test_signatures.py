@@ -134,28 +134,33 @@ def test_empty_dataset_rejected():
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_batched_fingerprint_matches_per_trace_reference(two_sided):
-    # probe traces of three lengths, so the probes stack into several batches
+    # probe traces of three lengths, so the probes stack into several batches;
+    # the second input ties zeros of both signs and has |x| + |c| past BIG,
+    # which a chain template clips always and _rob only where it can be reached
     rng = np.random.default_rng(3)
-    traces = [Trace({"x": rng.uniform(-2.0, 2.0, size=n)}, period=0.5) for n in (4, 7, 4, 9, 7)]
-    ds = Dataset(traces, [1, 0, 1, 0, 1])
-    cfg = SignatureConfig(n_traces=4)
-    index = SignatureIndex(cfg, ds)
-    assert len({tr.n_samples for tr in index.probe_traces}) > 1
+    near_big = [0.0, -0.0, 0.5, -0.5, 9e8, -9e8, 1e9, -1e9]
+    inputs = [[rng.uniform(-2.0, 2.0, size=n) for n in (4, 7, 4, 9, 7)],
+              [rng.choice(near_big, size=n) for n in (4, 7, 4, 9, 7)]]
     db = FormulaDB()
     enumerate_templates(Grammar.default(["x"], two_sided_intervals=two_sided), 3, db=db)
     templates = [t for length in sorted(db.by_length) for t in db.by_length[length]]
     assert len(templates) > 20
-    for tpl in templates:
-        space = default_bounds(tpl, ds)
-        # the reference: instantiate each valuation, score each probe trace alone
-        vals = index.valuations(space)
-        mat = np.empty((len(index.probe_traces), len(vals)))
-        for j, v in enumerate(vals):
-            phi = instantiate(tpl, v, validate=False)
-            for i, tr in enumerate(index.probe_traces):
-                mat[i, j] = robustness(phi, tr, 0.0)
-        q = np.round(np.clip(mat, -BIG, BIG) / cfg.quantum).astype(np.int64)
-        assert index.fingerprint(tpl, space) == (space.dim, q.shape, q.tobytes()), str(tpl)
+    for rows in inputs:
+        ds = Dataset([Trace({"x": x}, period=0.5) for x in rows], [1, 0, 1, 0, 1])
+        cfg = SignatureConfig(n_traces=4)
+        index = SignatureIndex(cfg, ds)
+        assert len({tr.n_samples for tr in index.probe_traces}) > 1
+        for tpl in templates:
+            space = default_bounds(tpl, ds)
+            # the reference: instantiate each valuation, score each probe trace alone
+            vals = index.valuations(space)
+            mat = np.empty((len(index.probe_traces), len(vals)))
+            for j, v in enumerate(vals):
+                phi = instantiate(tpl, v, validate=False)
+                for i, tr in enumerate(index.probe_traces):
+                    mat[i, j] = robustness(phi, tr, 0.0)
+            q = np.round(np.clip(mat, -BIG, BIG) / cfg.quantum).astype(np.int64)
+            assert index.fingerprint(tpl, space) == (space.dim, q.shape, q.tobytes()), str(tpl)
 
 
 def test_check_and_insert_rejects_a_signal_the_dataset_lacks():

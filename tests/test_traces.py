@@ -1,6 +1,8 @@
 """Trace/Dataset model and CSV round-trips."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,43 @@ def test_load_trace_csv_errors_name_file_lines(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("time,x\n\n0,1\n1,abc\n")
     with pytest.raises(DataFormatError, match=r"t\.csv:4: "):
+        load_trace_csv(p)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1\n1,nan\n", r"t\.csv:3: non-finite value 'nan' in column 'x'$"),
+    ("0,1\n1,-inf\n", r"t\.csv:3: non-finite value '-inf' in column 'x'$"),
+    ("0,1\n1, 1e400\n", r"t\.csv:3: non-finite value '1e400' in column 'x'$"),
+    ("0,1\n\ninf,2\n", r"t\.csv:4: non-finite value 'inf' in column 'time'$"),
+    ("nan,1\n", r"t\.csv:2: non-finite value 'nan' in column 'time'$"),
+], ids=["nan", "-inf", "overflow", "inf-time", "one-nan-time"])
+def test_non_finite_cells_name_the_file_line(tmp_path, body, message):
+    p = tmp_path / "t.csv"
+    p.write_text("time,x\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        with pytest.raises(DataFormatError, match=message):
+            load_trace_csv(p)
+
+
+def test_trace_rejects_a_non_finite_start_time():
+    for start in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataFormatError, match="start time must be finite"):
+            Trace({"x": [1.0]}, 1.0, start_time=start)
+
+
+@pytest.mark.parametrize("header", ["time,x,", "time,,x", "time, "])
+def test_empty_signal_names_are_refused(tmp_path, header):
+    p = tmp_path / "t.csv"
+    p.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv: signal names must be non-empty"):
+        load_trace_csv(p)
+
+
+def test_a_header_without_samples_is_refused(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("time,x\n\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv: no samples after the header"):
         load_trace_csv(p)
 
 
