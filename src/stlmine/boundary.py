@@ -27,11 +27,18 @@ bracket is at most twice what halvings alone would have left, so a crossing
 box costs at most L + 2 probes besides its corners, against L for bisection;
 on smooth g the secant needs far fewer.
 
-g scores through ``monitor._Scorer``.  For a template that is one atom under
-``not``/``F``/``G``, robustness is monotone in a window reduction of the raw
-signal, so g scores that reduction's extreme over the traces, cached per
-batch and window offsets: a g call on known offsets is one lookup and one
-subtraction.
+g is ``monitor._Scorer.g``, compiled once per query.  For a template that is
+one atom under ``not``/``F``/``G``, robustness is monotone in a window
+reduction of the raw signal, so g scores that reduction's extreme over the
+traces, kept per batch and window offsets: a g call on known offsets is one
+lookup and one subtraction.
+
+The search runs on Python floats.  Boxes are (lo, hi) lists, and a probe
+``h + i / n * d`` does numpy's operations on the vectors, in the same order,
+so every point is the one the vector code gives.  A split keeps its norm in
+numpy: the dot product behind ``np.linalg.norm`` may fuse multiply-adds, so a
+sum of squares in Python could differ in the last bit.  ``_Box`` objects are
+built only for the ``RegionLog``.
 """
 from __future__ import annotations
 
@@ -128,16 +135,17 @@ class BoundaryQuery:
     ):
         if not traces:
             raise ValueError("boundary search needs at least one trace")
-        self._setup(_Scorer(template), space, delta, diag_tol, max_points, keep_log)
+        scorer = _Scorer(template)
+        self._setup(scorer, space, delta, diag_tol, max_points, keep_log)
         # checked and stacked here once, instead of on every g call
-        self._batches = [batch for _, batch in _stack(template, traces, 0.0)]
+        self._g_at = scorer.g([batch for _, batch in _stack(template, traces, 0.0)], self._names)
 
     @classmethod
     def _from_batches(cls, scorer, space, batches, *, delta, diag_tol, max_points):
         """A query over label-1 traces already checked and stacked by the caller."""
         query = cls.__new__(cls)
         query._setup(scorer, space, delta, diag_tol, max_points, keep_log=False)
-        query._batches = batches
+        query._g_at = scorer.g(batches, query._names)
         return query
 
     def _setup(self, scorer, space, delta, diag_tol, max_points, keep_log):
@@ -146,7 +154,6 @@ class BoundaryQuery:
         if not (0 < diag_tol < delta):
             raise ValueError(f"need 0 < diag_tol < delta, got diag_tol={diag_tol} delta={delta}")
         self.template = scorer.template
-        self._scorer = scorer
         self.space = space
         self.delta = delta
         self.diag_tol = diag_tol
@@ -162,17 +169,18 @@ class BoundaryQuery:
         lo = space.lows()
         hi = space.highs()
         self._initial_diag = float(np.linalg.norm(hi - lo))
-        self._queue: deque[_Box] = deque([_Box(lo, hi)])
+        # boxes as (lo, hi) lists of floats
+        self._queue: deque[tuple[list[float], list[float]]] = deque([(lo.tolist(), hi.tolist())])
         self._boxes_processed = 0
         # per-axis hard side: Increasing parameters are hardest low, Decreasing high
-        self._hard_is_high = np.array(
-            [p.polarity is Polarity.DECREASING for p in space.params]
-        )
+        self._hard_is_high = [p.polarity is Polarity.DECREASING for p in space.params]
         # sub-box index bits of the two corner boxes _split discards
         self._hard_mask = sum(1 << d for d, high in enumerate(self._hard_is_high) if high)
         self._easy_mask = (1 << space.dim) - 1 - self._hard_mask
-        # row i, column d: bit d of i, i.e. sub-box i lies above the split point on axis d
-        self._bits = np.arange(1 << space.dim)[:, None] >> np.arange(space.dim) & 1 == 1
+        # row i, column d: d, or d + dim where bit d of i is set, i.e. where
+        # sub-box i lies above the split point on axis d
+        axes = np.arange(space.dim)
+        self._pick = axes + space.dim * (np.arange(1 << space.dim)[:, None] >> axes & 1)
         # the grid 2^L of the crossing search: L halvings of [0, 1] reach diag_tol
         self._grid = 1
         while 1 / self._grid > diag_tol:
@@ -188,16 +196,16 @@ class BoundaryQuery:
         if vec.shape != (len(self._names),):
             raise InstantiationError(
                 f"expected a {len(self._names)}-vector, got shape {vec.shape}")
-        for name, value in zip(self._names, vec.tolist()):
+        values = vec.tolist()
+        for name, value in zip(self._names, values):
             if not math.isfinite(value):
                 raise InstantiationError(f"parameter ${name} must be finite, got {value}")
-        return self._g(vec)
+        return self._g(values)
 
-    def _g(self, vec: np.ndarray) -> float:
+    def _g(self, values: list[float]) -> float:
         """``g`` without the checks, for the search's own points inside the box."""
         self.g_evaluations += 1
-        val = dict(zip(self._names, vec.tolist()))
-        return min(self._scorer.rob(b, val, smallest=True) for b in self._batches)
+        return self._g_at(values)
 
     def __iter__(self):
         return self
@@ -212,47 +220,61 @@ class BoundaryQuery:
                 raise SearchLimitError(
                     f"boundary search exceeded the hard cap of {HARD_BOX_CAP} boxes"
                 )
-            box = self._queue.popleft()
-            hard = np.where(self._hard_is_high, box.hi, box.lo)
-            easy = np.where(self._hard_is_high, box.lo, box.hi)
+            lo, hi = self._queue.popleft()
+            hard = [h if high else l for l, h, high in zip(lo, hi, self._hard_is_high)]
+            easy = [l if high else h for l, h, high in zip(lo, hi, self._hard_is_high)]
             g_hard = self._g(hard)
             if g_hard > 0:
                 if self.log is not None:
-                    self.log.valid.append(box)
+                    self.log.valid.append(_Box(np.array(lo), np.array(hi)))
                 continue
             g_easy = self._g(easy)
             if g_easy <= 0:
                 if self.log is not None:
-                    self.log.invalid.append(box)
+                    self.log.invalid.append(_Box(np.array(lo), np.array(hi)))
                 continue
-            # g crosses zero along the oriented diagonal: bracket the crossing
-            n, diff = self._grid, easy - hard
-            a = _bracket(lambda i: self._g(hard + i / n * diff), n, g_hard, g_easy)
-            point = np.clip(hard + (a + 0.5) / n * diff, box.lo, box.hi)
-            self._split(box, point)
+            # g crosses zero along the oriented diagonal: bracket the crossing;
+            # the float operations, in order, are numpy's on the vectors
+            n, diff = self._grid, [e - h for h, e in zip(hard, easy)]
+            a = _bracket(lambda i: self._g([h + i / n * d for h, d in zip(hard, diff)]),
+                         n, g_hard, g_easy)
+            # np.clip(x, l, u) is min(u, max(l, x)) in this argument order, ±0.0 included
+            point = [min(u, max(l, h + (a + 0.5) / n * d))
+                     for h, d, l, u in zip(hard, diff, lo, hi)]
+            self._split(lo, hi, point)
             self.points_emitted += 1
-            return self.space.to_valuation(point)
+            return dict(zip(self._names, point))
         raise StopIteration
 
     @property
     def exhausted(self) -> bool:
         return not self._queue
 
-    def _split(self, box: _Box, point: np.ndarray) -> None:
-        # row i of lo/hi is sub-box i, the two corner boxes included
-        lo = np.where(self._bits, point, box.lo)
-        hi = np.where(self._bits, box.hi, point)
-        d = hi - lo
-        # the dot kernel of np.linalg.norm on one box, so the same boxes pass
-        kept = np.sqrt(np.vecdot(d, d)) > self.delta * self._initial_diag
-        kept[[self._hard_mask, self._easy_mask]] = False
-        self._queue.extend(_Box(lo[i], hi[i]) for i in np.flatnonzero(kept))
+    def _split(self, lo: list[float], hi: list[float], point: list[float]) -> None:
+        # sub-box i takes, on each axis d, its bounds from (point, hi) where
+        # bit d of i is set and from (lo, point) elsewhere: index _pick[i][d]
+        # into lo + point for its lower bounds, point + hi for its upper ones,
+        # and below + above for its sides, which are his - los
+        below = [p - l for l, p in zip(lo, point)]
+        above = [h - p for p, h in zip(point, hi)]
+        d = np.array(below + above)[self._pick]
+        # the dot kernel of np.linalg.norm on one box, so the same boxes pass;
+        # math.sqrt rounds as np.sqrt does
+        limit = self.delta * self._initial_diag
+        kept = [math.sqrt(s) > limit for s in np.vecdot(d, d).tolist()]
+        kept[self._hard_mask] = kept[self._easy_mask] = False
+        los, his = lo + point, point + hi
+        for keep, pick in zip(kept, self._pick.tolist()):
+            if keep:
+                self._queue.append((list(map(los.__getitem__, pick)),
+                                    list(map(his.__getitem__, pick))))
         if self.log is not None:
-            self.log.invalid.append(_Box(lo[self._hard_mask], hi[self._hard_mask]))
-            self.log.valid.append(_Box(lo[self._easy_mask], hi[self._easy_mask]))
+            los, his = np.array(los)[self._pick], np.array(his)[self._pick]
+            self.log.invalid.append(_Box(los[self._hard_mask], his[self._hard_mask]))
+            self.log.valid.append(_Box(los[self._easy_mask], his[self._easy_mask]))
             self.log.below_delta.extend(
-                _Box(lo[i], hi[i]) for i in np.flatnonzero(~kept)
-                if i not in (self._hard_mask, self._easy_mask))
+                _Box(los[i], his[i]) for i, keep in enumerate(kept)
+                if not keep and i not in (self._hard_mask, self._easy_mask))
 
     def drain_log(self) -> RegionLog:
         """Move any still-queued boxes into the log and return it."""
@@ -264,5 +286,5 @@ class BoundaryQuery:
     def _flush_queue(self) -> None:
         # keep unvisited boxes visible to the log instead of dropping them
         if self.log is not None:
-            self.log.unexplored.extend(self._queue)
+            self.log.unexplored.extend(_Box(np.array(lo), np.array(hi)) for lo, hi in self._queue)
         self._queue.clear()

@@ -11,15 +11,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .boundary import BoundaryQuery
 from .enumeration import CallbackResult, Grammar, enumerate_templates
 from .errors import DataFormatError, TraceDomainError, UnknownSignalError
 from .formula import Formula, TrueF
 from .monitor import _Batch, _check_concrete, _Scorer, _stack
 from .monitor import robustness_many  # noqa: F401  (patched by perfbench/tracer.py)
-from .params import Valuation, _window_error, default_bounds, instantiate
+from .params import Valuation, _window_error, _windows_can_fail, default_bounds, instantiate
 from .signatures import SignatureConfig, SignatureIndex
 from .traces import Dataset
 
@@ -115,9 +113,9 @@ def _count_wrong(scorer: _Scorer, batches, val: Valuation | None, mode: str) -> 
     """The traces ``mcr`` counts as wrong, scored through ``scorer``; a template
     reads its parameters from ``val``."""
     neg, pos = batches
-    wrong = sum(np.count_nonzero(scorer.rob(b, val) > 0) for b in neg)
+    wrong = sum(scorer.positive(b, val) for b in neg)
     if mode == MCR_SYMMETRIC:
-        wrong += sum(b.k - np.count_nonzero(scorer.rob(b, val) > 0) for b in pos)
+        wrong += sum(b.k - scorer.positive(b, val) for b in pos)
     elif mode != MCR_ONESIDED:
         raise ValueError(f"unknown mcr mode {mode!r}")
     return int(wrong)  # a Python int, so that the rate is a Python float
@@ -166,9 +164,10 @@ def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
     scorer = _Scorer(template)
     query = BoundaryQuery._from_batches(scorer, space, batches[1], delta=cfg.delta,
                                         diag_tol=cfg.diag_tol, max_points=cfg.max_boundary_points)
+    check_windows = _windows_can_fail(template, space)
     for valuation in query:
         stats.boundary_points += 1
-        if _window_error(template, valuation):
+        if check_windows and _window_error(template, valuation):
             continue  # an inverted two-sided window: legal point, degenerate formula
         score = _count_wrong(scorer, batches, valuation, cfg.mcr_mode) / ds.n
         if score < cfg.threshold:

@@ -62,7 +62,19 @@ difference, negation and the clip are monotone, so they commute with max and
 min bit for bit, the sign of zero included.  Where ``_rob`` writes ±BIG, R
 holds the reduction's identity ±inf, which the clip turns into the same ±BIG.
 R depends on a valuation only through the window offsets, so it is computed
-once for many thresholds.
+once for many thresholds.  The scorer keeps the inner windows' R on the grid
+per batch and offsets, time-major, and the outermost window's R as a prefix
+table per batch, first sample and inner offsets: row i folds the window's
+first i + 1 samples as ``_fold`` does, with the same numpy calls, so one table
+serves every window that starts at that sample, and rows are added only as
+far as a window has reached.  Each row keeps its extreme over the traces, and
+the MCR check compares R with the threshold directly: robustness is > 0
+exactly where R lies on the satisfying side of c.
+
+The boundary search calls ``_Scorer.g``, a function of the parameter list
+built once per fit.  For a chain it resolves every window end to a constant's
+sample index or a parameter's position when it is built, and a call reads one
+extreme per batch and subtracts and clips in Python floats.
 """
 from __future__ import annotations
 
@@ -108,8 +120,7 @@ class _Batch:
         self.n = ref.n_samples
         self.k = len(traces)
         self.signals = {
-            name: np.stack([tr.values(name) for tr in traces])
-            for name in ref.signal_names
+            name: np.array([tr.values(name) for tr in traces]) for name in ref.signal_names
         }
         # largest |value| per signal, so that atoms clip only when they can reach BIG
         self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
@@ -132,6 +143,18 @@ def _bound(b: Bound, val: dict[str, float] | None) -> float:
     return val[b.name]
 
 
+def _end(x: float, t0: float, period: float, closed: bool, lower: bool, n: int) -> int:
+    """Sample index of the window end at time t0 + x on a grid of n samples:
+    the first sample at or after a lower end (after it, if open), or the last
+    at or before an upper end (before it, if open), clipped to the grid."""
+    q = (t0 + x) / period
+    if lower:
+        j = math.ceil(q - _EPS) if closed else math.floor(q + _EPS) + 1
+        return j if j > 0 else 0
+    j = math.floor(q + _EPS) if closed else math.ceil(q - _EPS) - 1
+    return j if j < n else n - 1
+
+
 def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     """Sample indices (jlo, jhi) of the window t + I, honouring open/closed
     ends and clipped to the grid; the window is empty when jhi < jlo.
@@ -140,17 +163,8 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     offsets: the window at grid index q is q+jlo .. q+jhi.
     """
     t0 = 0.0 if t is None else t - b.start
-    qlo = (t0 + _bound(iv.lo, val)) / b.period
-    qhi = (t0 + _bound(iv.hi, val)) / b.period
-    if iv.lo_closed:
-        jlo = math.ceil(qlo - _EPS)
-    else:
-        jlo = math.floor(qlo + _EPS) + 1
-    if iv.hi_closed:
-        jhi = math.floor(qhi + _EPS)
-    else:
-        jhi = math.ceil(qhi - _EPS) - 1
-    return max(jlo, 0), min(jhi, b.n - 1)
+    return (_end(_bound(iv.lo, val), t0, b.period, iv.lo_closed, True, b.n),
+            _end(_bound(iv.hi, val), t0, b.period, iv.hi_closed, False, b.n))
 
 
 def _double(src: np.ndarray, h: int, op, dst: np.ndarray) -> np.ndarray:
@@ -318,11 +332,15 @@ def _rob(
 class _Scorer:
     """Robustness at t=0 of one template.  A chain ``(not | F_I | G_I)* (x ~ c)``
     with at least one window is scored from R, the composed window max/min of x
-    (see the module docstring), with R and its extreme cached per batch and
-    window offsets; any other template by ``_rob``, and ``ops`` is None."""
+    (see the module docstring), read from prefix tables of its outermost window;
+    any other template by ``_rob``, and ``ops`` is None."""
 
     def __init__(self, template: Formula):
-        self.template, self.ops, self._cache = template, None, {}
+        self.template, self.ops = template, None
+        # (batch, inner window offsets) -> R of the inner windows on the grid, time-major
+        self._grids: dict[tuple, np.ndarray] = {}
+        # (batch, jlo, inner window offsets) -> (columns, rows, extremes), see _table
+        self._cache: dict[tuple, tuple] = {}
         ops, odd, node = [], False, template
         while isinstance(node, (Not, Finally, Globally)):
             if isinstance(node, Not):
@@ -338,38 +356,144 @@ class _Scorer:
         self.ops = [(iv, f ^ odd ^ above ^ less) for iv, f, above in ops]
         self.atom, self.odd = node, odd
         self.rising = (node.op in (">", ">=")) != odd  # robustness rises with R
+        # R where the outermost window is empty: the identity of its reduction
+        self._empty = -math.inf if self.ops[0][1] else math.inf
 
-    def rob(self, b: _Batch, val, smallest: bool = False) -> np.ndarray | float:
-        """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``;
-        with ``smallest``, the minimum over the traces as a Python float."""
-        if self.ops is None:
-            out = _rob(self.template, b, val, 0.0)
-            return float(out.min()) if smallest else out
-        # the outermost window is reduced at t=0, every inner one on the grid
-        wins = tuple(_window(iv, b, val, None if i else 0.0) for i, (iv, _) in enumerate(self.ops))
-        entry = self._cache.get((b, wins))
-        if entry is None:
-            sig, inner = self.atom.signal, len(self.ops) - 1
-            r = b.signals[sig]
-            for i in reversed(range(len(self.ops))):
-                largest, (jlo, jhi) = self.ops[i][1], wins[i]
+    def _grid(self, b: _Batch, inner: tuple) -> np.ndarray:
+        """R of the windows below the outermost one on the grid, time-major
+        (samples x traces), given their offsets (jlo, jhi, jlo, jhi, ...,
+        outermost first); the raw signal's time-major copy when there are none."""
+        sig = self.atom.signal
+        if not inner:
+            return b.time_major(sig)
+        grid = self._grids.get((b, inner))
+        if grid is None:
+            r, last = b.signals[sig], len(self.ops) - 1
+            for i in reversed(range(1, len(self.ops))):
+                largest, jlo, jhi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
+                fill = -np.inf if largest else np.inf
                 if jhi < jlo:
-                    r = np.full((b.k, b.n) if i else b.k, -np.inf if largest else np.inf)
-                elif i:
+                    r = np.full((b.k, b.n), fill)
+                else:
                     # the window over the raw signal reads the batch's cached table
-                    levels = b.levels.setdefault((sig, largest), [r]) if i == inner else None
-                    r = _window_reduce(r, jlo, jhi, largest, -np.inf if largest else np.inf,
-                                       levels)
-                else:  # the same fold as _rob's, over the batch's copy for the raw signal
-                    r = _fold((b.time_major(sig) if i == inner else r.T)[jlo : jhi + 1], largest)
-            entry = self._cache[b, wins] = r, float(r.min() if self.rising else r.max())
-        r = entry[1] if smallest else entry[0]
-        c = _bound(self.atom.bound, val)
+                    levels = b.levels.setdefault((sig, largest), [r]) if i == last else None
+                    r = _window_reduce(r, jlo, jhi, largest, fill, levels)
+            grid = self._grids[b, inner] = np.ascontiguousarray(r.T)
+        return grid
+
+    def _table(self, b: _Batch, jlo: int, inner: tuple, m: int) -> tuple[np.ndarray, list]:
+        """The prefix table of the outermost window from sample jlo at t=0, over
+        the grid R of the inner windows: row i holds R over [jlo, jlo + i] per
+        trace, and the list each row's extreme over the traces (the one that
+        scores lowest).  A row is the left fold ``_fold`` computes, by the same
+        numpy calls; rows are added as a window first reaches them, up to row m."""
+        table = self._cache.get((b, jlo, inner))
+        if table is None:
+            cols = self._grid(b, inner)[jlo:]
+            table = self._cache[b, jlo, inner] = cols, np.empty(cols.shape), []
+        cols, acc, ext = table
+        s = len(ext)
+        if m >= s:
+            op = np.maximum if self.ops[0][1] else np.minimum
+            if b.k < _FOLD_ACROSS_MIN:  # accumulate along each trace, resumed at row s
+                rows = acc[max(s - 1, 0) : m + 1]
+                rows[1 if s else 0 :] = cols[s : m + 1]
+                op.accumulate(rows, axis=0, out=rows)
+            else:  # fold across the traces, one row at a time
+                if not s:
+                    acc[0] = cols[0]
+                start = max(s, 1)
+                prev = acc[start - 1]
+                for row, out in zip(cols[start : m + 1], acc[start : m + 1]):
+                    prev = op(prev, row, out=out)
+            new = acc[s : m + 1]
+            ext += (new.min(axis=1) if self.rising else new.max(axis=1)).tolist()
+        return acc, ext
+
+    def _extreme(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> float:
+        """The extreme over the traces of R, the outermost window at t=0 being
+        [jlo, jhi] and the inner ones at the offsets ``inner``."""
+        m = jhi - jlo
+        if m < 0:
+            return self._empty
+        table = self._cache.get((b, jlo, inner))
+        if table is None or m >= len(table[2]):
+            return self._table(b, jlo, inner, m)[1][m]
+        return table[2][m]
+
+    def _r(self, b: _Batch, val) -> np.ndarray:
+        """R per trace under the valuation (a row of a prefix table)."""
+        jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
+        if jhi < jlo:
+            return np.full(b.k, self._empty)
+        inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
+        return self._table(b, jlo, inner, jhi - jlo)[0][jhi - jlo]
+
+    def rob(self, b: _Batch, val) -> np.ndarray:
+        """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``."""
+        if self.ops is None:
+            return _rob(self.template, b, val, 0.0)
+        r, c = self._r(b, val), _bound(self.atom.bound, val)
         out = r - c if self.atom.op in (">", ">=") else c - r
-        out = -out if self.odd else out
-        if smallest:  # the clip in floats, equal to np.clip for ±0.0 and ±inf too
-            return min(max(out, -BIG), BIG)
-        return np.clip(out, -BIG, BIG)
+        return np.clip(-out if self.odd else out, -BIG, BIG)
+
+    def positive(self, b: _Batch, val) -> int:
+        """How many traces have robustness > 0 at t=0.  A chain compares R with
+        the threshold: their difference is > 0 exactly where R is the larger,
+        and negation flips, and the clip keeps, its sign."""
+        if self.ops is None:
+            return np.count_nonzero(_rob(self.template, b, val, 0.0) > 0)
+        r, c = self._r(b, val), _bound(self.atom.bound, val)
+        return np.count_nonzero(r > c if self.rising else r < c)
+
+    def g(self, batches: list[_Batch], names: list[str]):
+        """The function of a list v of parameter values that gives, as a Python
+        float, ``min(float(_rob(template, b, dict(zip(names, v)), 0.0).min())
+        for b in batches)``.
+
+        A chain resolves each window end here, once, to a constant's sample
+        index or to a parameter's index into v with the arguments of ``_end``,
+        and scores a call from one extreme of R per batch.  Robustness is
+        monotone in R, so the lowest-scoring extreme over the batches gives
+        the minimum; it is clipped in floats, as np.clip would.
+        """
+        if self.ops is None:
+            template = self.template
+
+            def g(v):
+                val = dict(zip(names, v))
+                return min(float(_rob(template, b, val, 0.0).min()) for b in batches)
+            return g
+
+        plans = []
+        for b in batches:
+            ends = []
+            for w, (iv, _) in enumerate(self.ops):
+                t0 = 0.0 - b.start if w == 0 else 0.0
+                for bound, closed, lower in ((iv.lo, iv.lo_closed, True), (iv.hi, iv.hi_closed, False)):
+                    args = (t0, b.period, closed, lower, b.n)
+                    ends.append(_end(bound.value, *args) if isinstance(bound, Const)
+                                else (names.index(bound.name), *args))
+            plans.append((b, ends[0], ends[1], ends[2:]))
+        c = self.atom.bound
+        ci, cv = (None, c.value) if isinstance(c, Const) else (names.index(c.name), None)
+        gt, odd, rising, extreme = self.atom.op in (">", ">="), self.odd, self.rising, self._extreme
+
+        def at(e, v):  # the sample index of a resolved window end
+            return e if e.__class__ is int else _end(v[e[0]], e[1], e[2], e[3], e[4], e[5])
+
+        def g(v):
+            r = None
+            for b, lo, hi, inner in plans:
+                x = extreme(b, at(lo, v), at(hi, v), tuple([at(e, v) for e in inner]) if inner else ())
+                if r is None or (x < r if rising else x > r):
+                    r = x
+            c = cv if ci is None else v[ci]
+            out = r - c if gt else c - r
+            if odd:
+                out = -out
+            return -BIG if out < -BIG else BIG if out > BIG else out
+        return g
 
 
 def _check_concrete(phi: Formula) -> None:

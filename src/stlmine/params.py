@@ -137,6 +137,24 @@ def _window_error(formula: Formula, valuation: Valuation) -> str | None:
     return None
 
 
+def _windows_can_fail(formula: Formula, space: ParamSpace) -> bool:
+    """Whether ``_window_error`` can fire at some valuation inside the box:
+    a window whose lower end can be negative, or can reach its upper end
+    (meet it, for a window not closed at both ends)."""
+    def span(b: Bound) -> tuple[float, float]:
+        return (b.value, b.value) if isinstance(b, Const) else box[b.name]
+
+    box = {p.name: (p.lo, p.hi) for p in space.params}
+    for node in iter_nodes(formula):
+        match node:
+            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
+                (lo_min, lo_max), (hi_min, _) = span(iv.lo), span(iv.hi)
+                closed = iv.lo_closed and iv.hi_closed
+                if lo_min < 0 or hi_min < lo_max or (hi_min == lo_max and not closed):
+                    return True
+    return False
+
+
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
     """(min, max) of each signal over all traces of the dataset."""
     return dict(ds.signal_ranges)

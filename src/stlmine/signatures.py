@@ -62,6 +62,8 @@ class SignatureIndex:
         # stacked once; default_bounds checks each template's signals
         self._batches = _stack(TrueF(), self.probe_traces, 0.0)
         self._seen: dict[tuple, Formula] = {}
+        # coordinate i -> its unit draws, the same for every template
+        self._draws: dict[int, np.ndarray] = {}
 
     def valuations(self, space: ParamSpace) -> list[dict[str, float]]:
         """Random points in the parameter box, reproducible per coordinate.
@@ -70,15 +72,16 @@ class SignatureIndex:
         coordinate's bounds, so templates sharing a box prefix probe the
         shared coordinates identically.
         """
-        cfg = self.config
         cols = []
         for i, d in enumerate(space.params):
-            rng = np.random.default_rng([cfg.seed, 1, i])
-            cols.append(rng.uniform(d.lo, d.hi, size=cfg.n_valuations))
-        out = []
-        for j in range(cfg.n_valuations):
-            out.append({d.name: float(cols[i][j]) for i, d in enumerate(space.params)})
-        return out
+            u = self._draws.get(i)
+            if u is None:
+                rng = np.random.default_rng([self.config.seed, 1, i])
+                u = self._draws[i] = rng.random(self.config.n_valuations)
+            # the arithmetic of rng.uniform(d.lo, d.hi), so the same bytes
+            cols.append((d.lo + (d.hi - d.lo) * u).tolist())
+        return [{d.name: col[j] for d, col in zip(space.params, cols)}
+                for j in range(self.config.n_valuations)]
 
     def fingerprint(self, template: Formula, space: ParamSpace) -> tuple:
         cfg = self.config

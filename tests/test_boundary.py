@@ -279,8 +279,8 @@ def _split_reference(query, box, point):
 def _split_result(query, box, point):
     query._queue.clear()
     query.log = RegionLog()
-    query._split(box, point)
-    got = {"queue": list(query._queue)}
+    query._split(box.lo.tolist(), box.hi.tolist(), point.tolist())
+    got = {"queue": [_Box(np.array(lo), np.array(hi)) for lo, hi in query._queue]}
     got.update((name, getattr(query.log, name)) for name in ("valid", "invalid", "below_delta"))
     return {name: [(b.lo, b.hi) for b in boxes] for name, boxes in got.items()}
 

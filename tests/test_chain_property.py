@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from stlmine.boundary import BoundaryQuery, min_robustness
 from stlmine.formula import (
     And, Atom, Const, Finally, Globally, Interval, Not, Param, TrueF, Until, infer_polarity,
+    iter_nodes,
 )
 from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
 from stlmine.monitor import BIG, _Batch, _rob, _Scorer
@@ -92,7 +93,7 @@ def test_chain_equals_rob_bit_for_bit(chain_and_val, batches):
         want = _rob(template, b, val, 0.0)
         assert chain.rob(b, val).tobytes() == want.tobytes()
         assert chain.rob(b, val).tobytes() == want.tobytes()  # from the cache
-        assert chain.rob(b, val, smallest=True) == want.min()
+        assert chain.g([b], list(val))(list(val.values())) == want.min()
         assert abs(want).max() <= BIG
 
 
@@ -114,6 +115,44 @@ def test_chain_g_is_a_python_float_equal_to_the_rob_minimum(chain_and_val, batch
         assert got == want
 
 
+X_TEMPLATES = [t for group in TEMPLATES.values() for signals, t in group if signals == ("x",)]
+
+
+@st.composite
+def templates_and_valuations(draw):
+    """A chain, or a one-signal grammar template up to length 3 (one- or
+    two-sided windows) with thresholds and window ends drawn as in chains()."""
+    if draw(st.booleans()):
+        return draw(chains())
+    template, val = draw(st.sampled_from(X_TEMPLATES)), {}
+    for node in iter_nodes(template):
+        match node:
+            case Atom(_, _, Param(name)):
+                val[name] = draw(THRESHOLDS)
+            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
+                for end in (iv.lo, iv.hi):
+                    if isinstance(end, Param):
+                        val[end.name] = draw(st.integers(0, 20)) * 0.5
+    return template, val
+
+
+@settings(max_examples=600, deadline=None)
+@given(templates_and_valuations(), batches_of_two_shapes())
+def test_compiled_g_and_positive_equal_rob(template_and_val, batches):
+    # g, compiled once per fit, against the minimum of _rob over the batches;
+    # positive, the count the MCR check sums, against _rob's count above zero
+    template, val = template_and_val
+    scorer = _Scorer(template)
+    g = scorer.g(batches, list(val))
+    want = [_rob(template, b, val, 0.0) for b in batches]
+    for _ in range(2):  # the second call reads the prefix tables
+        got = g(list(val.values()))
+        assert type(got) is float
+        assert got == min(float(w.min()) for w in want)
+        for b, w in zip(batches, want):
+            assert scorer.positive(b, val) == np.count_nonzero(w > 0)
+
+
 @pytest.mark.parametrize("text", [
     "F[0,$t](x > $c)", "G[0,$t](x < $c)", "not F[0,$t](x >= $c)",
     "F[2,$t](G[0,3](x > $c))", "not G[10,$t](not F[1,4](x <= $c))",
@@ -133,7 +172,7 @@ def test_chain_equals_rob_bit_for_bit_on_a_wide_batch(text):
             val = {"t": t, "c": c}
             want = _rob(template, b, val, 0.0)
             assert chain.rob(b, val).tobytes() == want.tobytes(), (t, c)
-            assert chain.rob(b, val, smallest=True) == want.min()
+            assert chain.g([b], list(val))(list(val.values())) == want.min()
             zeros += np.count_nonzero(want == 0)
     assert zeros  # the ties reach the results, so their signs are compared
 

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from oracles import brute_robustness
 from stlmine.errors import InstantiationError
-from stlmine.formula import Finally, Globally, Until, iter_nodes
+from stlmine.formula import Atom, Const, Finally, Globally, Interval, Param, Until, iter_nodes
 from stlmine.learner import MCR_ONESIDED, MCR_SYMMETRIC, _count_wrong, _label_batches, mcr
 from stlmine.monitor import _Scorer
-from stlmine.params import _window_error, default_bounds, instantiate
+from stlmine.params import (
+    ParamDef, ParamKind, ParamSpace, _window_error, _windows_can_fail, default_bounds, instantiate,
+)
+from stlmine.formula import infer_polarity
+from stlmine.parser import parse_formula
 from stlmine.traces import Dataset, Trace
 from test_g_property import TEMPLATES, _value_in  # templates up to length 3, box values
 
@@ -73,3 +77,50 @@ def test_template_score_equals_mcr_of_instantiated_formula(data):
         rate = mcr(phi, ds, mode)
         assert type(rate) is float and wrong / ds.n == rate
         assert wrong == _oracle_wrong(phi, ds, mode)
+
+
+# grammar templates up to length 3 with a window
+GRAMMAR_WINDOWS = [t for group in TEMPLATES.values() for _, t in group
+                   if any(isinstance(n, (Finally, Globally, Until)) for n in iter_nodes(t))]
+# windows the grammar does not make: a constant lower end above 0, and open ends
+_x = Atom("x", ">", Param("c"))
+HAND_WINDOWS = [Finally(Interval(lo, Param("t"), lo_closed, hi_closed), _x)
+                for lo, lo_closed, hi_closed in ((Const(2.0), True, True), (Const(0.0), False, True),
+                                                 (Const(0.0), True, False), (Const(1.5), False, False))]
+HAND_WINDOWS.append(Globally(Interval(Param("u"), Const(3.0), True, False), _x))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_window_check_is_skipped_only_where_it_cannot_fire(data):
+    # boxes and points on a half-unit lattice, so that window ends meet
+    template = data.draw(st.sampled_from(GRAMMAR_WINDOWS) | st.sampled_from(HAND_WINDOWS),
+                         label="template")
+    time = {b.name for n in iter_nodes(template) if isinstance(n, (Finally, Globally, Until))
+            for b in (n.interval.lo, n.interval.hi) if isinstance(b, Param)}
+    polarity = infer_polarity(template)
+    defs = []
+    for name in sorted(polarity):
+        lo = data.draw(st.integers(0 if name in time else -8, 8), label=name) * 0.5
+        hi = lo + data.draw(st.integers(1, 8), label=name) * 0.5
+        kind = ParamKind.TIME if name in time else ParamKind.VALUE
+        defs.append(ParamDef(name, kind, lo, hi, polarity[name]))
+    space = ParamSpace(defs)
+    if _windows_can_fail(template, space):
+        return
+    for _ in range(8):
+        eighths = st.sampled_from([0, 8]) | st.integers(0, 8)  # corners often
+        valuation = {p.name: p.lo + data.draw(eighths) * (p.hi - p.lo) / 8 for p in space.params}
+        assert _window_error(template, valuation) is None
+
+
+def test_window_check_decision_on_default_boxes():
+    # the default grammar's closed [0, $t] never fires; two-sided windows,
+    # a constant lower end above 0, and an open end meeting 0 can
+    ds = Dataset([Trace({"x": [0.0, 1.0, 2.0, 3.0, 4.0]}, 1.0)], [1])
+    cases = {"F[0,$t](x > $c)": False, "G[0,$t](F[0,$s](x < $c))": False,
+             "(x > $a) U[0,$t] (x < $b)": False, "F[$l,$h](x > $c)": True,
+             "F[2,$t](x > $c)": True, "G[0,$t)(x > $c)": True, "G(0,$t](x > $c)": True}
+    for text, can in cases.items():
+        template = parse_formula(text)
+        assert _windows_can_fail(template, default_bounds(template, ds)) is can, text

@@ -6,7 +6,8 @@ from stlmine.enumeration import FormulaDB, Grammar, enumerate_templates
 from stlmine.errors import UnknownSignalError
 from stlmine.formula import TrueF
 from stlmine.monitor import BIG, robustness
-from stlmine.params import default_bounds, instantiate
+from stlmine.formula import Polarity
+from stlmine.params import ParamDef, ParamKind, ParamSpace, default_bounds, instantiate
 from stlmine.parser import parse_formula
 from stlmine.signatures import SignatureConfig, SignatureIndex
 from stlmine.traces import Dataset, Trace
@@ -114,6 +115,31 @@ def test_shared_axis_prefix_probes_identically():
     vals_u = index.valuations(sp_u)
     # both spaces lead with the same time axis over [0, duration]
     assert [v["t"] for v in vals_f] == [v["t"] for v in vals_u]
+
+
+def test_probe_points_are_the_bytes_of_a_uniform_draw():
+    # each coordinate's unit draws are kept in the index and scaled per box;
+    # the points must be the bytes rng.uniform(lo, hi) draws from the same seed
+    rng = np.random.default_rng(11)
+    bounds = [(0.0, 1.0), (-11.5, 9.25), (0.0, 50.0), (-1e9, 1e9), (1e-300, 3e-300),
+              (-7.3, -7.299999), (2.0, 2.0 + 2 ** -40)]
+    bounds += [tuple(sorted(rng.normal(0, 10.0 ** rng.integers(-3, 6), 2).tolist())) for _ in range(40)]
+    checked = 0
+    for seed in (0, 1, 7):
+        for n in (1, 5, 9):
+            index = SignatureIndex(SignatureConfig(n_valuations=n, seed=seed), const_dataset())
+            for start in range(0, len(bounds), 3):  # boxes of three axes, then the rest
+                box = bounds[start : start + 3]
+                space = ParamSpace([ParamDef(f"p{i}", ParamKind.VALUE, lo, hi, Polarity.INCREASING)
+                                    for i, (lo, hi) in enumerate(box)])
+                vals = index.valuations(space)
+                for i, (lo, hi) in enumerate(box):
+                    want = np.random.default_rng([seed, 1, i]).uniform(lo, hi, n)
+                    got = np.array([v[f"p{i}"] for v in vals])
+                    assert got.tobytes() == want.tobytes(), (seed, n, lo, hi)
+                    assert all(type(v[f"p{i}"]) is float for v in vals)
+                    checked += 1
+    assert checked > 400
 
 
 def test_deterministic_across_instances():
