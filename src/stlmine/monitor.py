@@ -470,7 +470,8 @@ class _Scorer:
             ends = []
             for w, (iv, _) in enumerate(self.ops):
                 t0 = 0.0 - b.start if w == 0 else 0.0
-                for bound, closed, lower in ((iv.lo, iv.lo_closed, True), (iv.hi, iv.hi_closed, False)):
+                for bound, closed, lower in ((iv.lo, iv.lo_closed, True),
+                                             (iv.hi, iv.hi_closed, False)):
                     args = (t0, b.period, closed, lower, b.n)
                     ends.append(_end(bound.value, *args) if isinstance(bound, Const)
                                 else (names.index(bound.name), *args))
@@ -485,7 +486,8 @@ class _Scorer:
         def g(v):
             r = None
             for b, lo, hi, inner in plans:
-                x = extreme(b, at(lo, v), at(hi, v), tuple([at(e, v) for e in inner]) if inner else ())
+                offsets = tuple([at(e, v) for e in inner]) if inner else ()
+                x = extreme(b, at(lo, v), at(hi, v), offsets)
                 if r is None or (x < r if rising else x > r):
                     r = x
             c = cv if ci is None else v[ci]

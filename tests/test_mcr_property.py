@@ -84,9 +84,9 @@ GRAMMAR_WINDOWS = [t for group in TEMPLATES.values() for _, t in group
                    if any(isinstance(n, (Finally, Globally, Until)) for n in iter_nodes(t))]
 # windows the grammar does not make: a constant lower end above 0, and open ends
 _x = Atom("x", ">", Param("c"))
-HAND_WINDOWS = [Finally(Interval(lo, Param("t"), lo_closed, hi_closed), _x)
-                for lo, lo_closed, hi_closed in ((Const(2.0), True, True), (Const(0.0), False, True),
-                                                 (Const(0.0), True, False), (Const(1.5), False, False))]
+HAND_WINDOWS = [Finally(Interval(Const(lo), Param("t"), lo_closed, hi_closed), _x)
+                for lo, lo_closed, hi_closed in ((2.0, True, True), (0.0, False, True),
+                                                 (0.0, True, False), (1.5, False, False))]
 HAND_WINDOWS.append(Globally(Interval(Param("u"), Const(3.0), True, False), _x))
 
 

@@ -123,7 +123,8 @@ def test_probe_points_are_the_bytes_of_a_uniform_draw():
     rng = np.random.default_rng(11)
     bounds = [(0.0, 1.0), (-11.5, 9.25), (0.0, 50.0), (-1e9, 1e9), (1e-300, 3e-300),
               (-7.3, -7.299999), (2.0, 2.0 + 2 ** -40)]
-    bounds += [tuple(sorted(rng.normal(0, 10.0 ** rng.integers(-3, 6), 2).tolist())) for _ in range(40)]
+    bounds += [tuple(sorted(rng.normal(0, 10.0 ** rng.integers(-3, 6), 2).tolist()))
+               for _ in range(40)]
     checked = 0
     for seed in (0, 1, 7):
         for n in (1, 5, 9):
