@@ -62,14 +62,17 @@ difference, negation and the clip are monotone, so they commute with max and
 min bit for bit, the sign of zero included.  Where ``_rob`` writes ±BIG, R
 holds the reduction's identity ±inf, which the clip turns into the same ±BIG.
 R depends on a valuation only through the window offsets, so it is computed
-once for many thresholds.  The scorer keeps the inner windows' R on the grid
-per batch and offsets, time-major, and the outermost window's R as a prefix
-table per batch, first sample and inner offsets: row i folds the window's
-first i + 1 samples as ``_fold`` does, with the same numpy calls, so one table
-serves every window that starts at that sample, and rows are added only as
-far as a window has reached.  Each row keeps its extreme over the traces, and
-the MCR check compares R with the threshold directly: robustness is > 0
-exactly where R lies on the satisfying side of c.
+once for many thresholds.  A lone window that starts at a constant starts at
+one sample per batch under every valuation, and the scorer keeps its R as a
+prefix table per batch: row i folds the window's first i + 1 samples as
+``_fold`` does, so one table serves every window length, and rows are added
+only as far as a window has reached.  Each row keeps its extreme over the
+traces.  Any other chain folds its outermost window as ``_rob`` does, over the
+inner windows' R on the grid, which the scorer keeps per batch for the latest
+inner offsets only, and remembers each window's extreme as a float.  So a fit
+keeps at most one (samples x traces) array per batch.  The MCR check compares
+R with the threshold directly: robustness is > 0 exactly where R lies on the
+satisfying side of c.
 
 The boundary search calls ``_Scorer.g``, a function of the parameter list
 built once per fit.  For a chain it resolves every window end to a constant's
@@ -225,6 +228,12 @@ def _window_reduce(
 _FOLD_ACROSS_MIN = 12
 
 
+# from this many traces up, a prefix table is cheaper built a row at a time
+# than by accumulating along each trace: about 1 us per row against 6 ns per
+# value, crossing near 128 traces at 51 to 1,001 samples (numpy 2.4)
+_ROWS_ACROSS_MIN = 128
+
+
 def _fold(cols: np.ndarray, largest: bool) -> np.ndarray:
     """Max (largest=True) or min over the rows of a (samples x traces) array,
     folded left to right: ``op(...op(op(row 0, row 1), row 2)..., last row)``.
@@ -332,15 +341,23 @@ def _rob(
 class _Scorer:
     """Robustness at t=0 of one template.  A chain ``(not | F_I | G_I)* (x ~ c)``
     with at least one window is scored from R, the composed window max/min of x
-    (see the module docstring), read from prefix tables of its outermost window;
-    any other template by ``_rob``, and ``ops`` is None."""
+    (see the module docstring); any other template by ``_rob``, and ``ops`` is
+    None.
+
+    A lone window that starts at a constant reads R from a prefix table per
+    batch.  Any other chain folds its outermost window over the grid R of the
+    inner ones, which is kept per batch for the latest inner offsets asked.
+    So a fit holds at most one (samples x traces) array per batch, and
+    otherwise only floats: the extremes of R that no table holds."""
 
     def __init__(self, template: Formula):
         self.template, self.ops = template, None
-        # (batch, inner window offsets) -> R of the inner windows on the grid, time-major
-        self._grids: dict[tuple, np.ndarray] = {}
-        # (batch, jlo, inner window offsets) -> (columns, rows, extremes), see _table
-        self._cache: dict[tuple, tuple] = {}
+        # batch -> (inner window offsets, R of the inner windows on the grid)
+        self._grids: dict[_Batch, tuple] = {}
+        # batch -> (prefix table rows, row extremes), see _table
+        self._tables: dict[_Batch, tuple] = {}
+        # (batch, jlo, jhi, inner window offsets) -> the extreme of R, if not tabled
+        self._memo: dict[tuple, float] = {}
         ops, odd, node = [], False, template
         while isinstance(node, (Not, Finally, Globally)):
             if isinstance(node, Not):
@@ -358,57 +375,65 @@ class _Scorer:
         self.rising = (node.op in (">", ">=")) != odd  # robustness rises with R
         # R where the outermost window is empty: the identity of its reduction
         self._empty = -math.inf if self.ops[0][1] else math.inf
+        # a lone window from a constant starts at one sample per batch under
+        # every valuation, so one prefix table per batch serves it
+        self.tabled = len(self.ops) == 1 and isinstance(self.ops[0][0].lo, Const)
 
     def _grid(self, b: _Batch, inner: tuple) -> np.ndarray:
-        """R of the windows below the outermost one on the grid, time-major
-        (samples x traces), given their offsets (jlo, jhi, jlo, jhi, ...,
-        outermost first); the raw signal's time-major copy when there are none."""
+        """R of the windows below the outermost one on the grid, (traces x
+        samples), given their offsets (jlo, jhi, jlo, jhi, ..., outermost
+        first).  Only the batch's grid for the latest offsets is kept."""
         sig = self.atom.signal
-        if not inner:
-            return b.time_major(sig)
-        grid = self._grids.get((b, inner))
-        if grid is None:
-            r, last = b.signals[sig], len(self.ops) - 1
-            for i in reversed(range(1, len(self.ops))):
-                largest, jlo, jhi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
-                fill = -np.inf if largest else np.inf
-                if jhi < jlo:
-                    r = np.full((b.k, b.n), fill)
-                else:
-                    # the window over the raw signal reads the batch's cached table
-                    levels = b.levels.setdefault((sig, largest), [r]) if i == last else None
-                    r = _window_reduce(r, jlo, jhi, largest, fill, levels)
-            grid = self._grids[b, inner] = np.ascontiguousarray(r.T)
-        return grid
+        got = self._grids.get(b)
+        if got is not None and got[0] == inner:
+            return got[1]
+        r, last = b.signals[sig], len(self.ops) - 1
+        for i in reversed(range(1, len(self.ops))):
+            largest, jlo, jhi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
+            fill = -np.inf if largest else np.inf
+            if jhi < jlo:
+                r = np.full((b.k, b.n), fill)
+            else:
+                # the window over the raw signal reads the batch's cached table
+                levels = b.levels.setdefault((sig, largest), [r]) if i == last else None
+                r = _window_reduce(r, jlo, jhi, largest, fill, levels)
+        self._grids[b] = inner, r
+        return r
 
-    def _table(self, b: _Batch, jlo: int, inner: tuple, m: int) -> tuple[np.ndarray, list]:
-        """The prefix table of the outermost window from sample jlo at t=0, over
-        the grid R of the inner windows: row i holds R over [jlo, jlo + i] per
-        trace, and the list each row's extreme over the traces (the one that
-        scores lowest).  A row is the left fold ``_fold`` computes, by the same
-        numpy calls; rows are added as a window first reaches them, up to row m."""
-        table = self._cache.get((b, jlo, inner))
+    def _reduce(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> np.ndarray:
+        """R per trace, the outermost window at t=0 being [jlo, jhi], non-empty,
+        and the inner ones at the offsets ``inner``: ``_rob``'s fold."""
+        cols = self._grid(b, inner).T if inner else b.time_major(self.atom.signal)
+        return _fold(cols[jlo : jhi + 1], self.ops[0][1])
+
+    def _table(self, b: _Batch, jlo: int, m: int) -> tuple[np.ndarray, list]:
+        """The prefix table of a lone window from sample jlo at t=0: row i holds
+        the window's R over [jlo, jlo + i] per trace, and the list each row's
+        extreme over the traces (the one that scores lowest).  Row i is
+        ``op(row i - 1, x at jlo + i)``, the left fold ``_fold`` computes,
+        built along each trace over a few traces and a row at a time over
+        many; rows are added as a window first reaches them, up to row m."""
+        table = self._tables.get(b)
+        cols = b.time_major(self.atom.signal)[jlo:]
         if table is None:
-            cols = self._grid(b, inner)[jlo:]
-            table = self._cache[b, jlo, inner] = cols, np.empty(cols.shape), []
-        cols, acc, ext = table
+            table = self._tables[b] = np.empty(cols.shape), []
+        acc, ext = table
         s = len(ext)
         if m >= s:
             op = np.maximum if self.ops[0][1] else np.minimum
-            if b.k < _FOLD_ACROSS_MIN:  # accumulate along each trace, resumed at row s
+            if b.k < _ROWS_ACROSS_MIN:  # accumulate along each trace, resumed at row s
                 rows = acc[max(s - 1, 0) : m + 1]
                 rows[1 if s else 0 :] = cols[s : m + 1]
                 op.accumulate(rows, axis=0, out=rows)
             else:  # fold across the traces, one row at a time
                 if not s:
                     acc[0] = cols[0]
-                start = max(s, 1)
-                prev = acc[start - 1]
-                for row, out in zip(cols[start : m + 1], acc[start : m + 1]):
+                prev = acc[max(s, 1) - 1]
+                for row, out in zip(cols[max(s, 1) : m + 1], acc[max(s, 1) : m + 1]):
                     prev = op(prev, row, out=out)
             new = acc[s : m + 1]
             ext += (new.min(axis=1) if self.rising else new.max(axis=1)).tolist()
-        return acc, ext
+        return table
 
     def _extreme(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> float:
         """The extreme over the traces of R, the outermost window at t=0 being
@@ -416,18 +441,27 @@ class _Scorer:
         m = jhi - jlo
         if m < 0:
             return self._empty
-        table = self._cache.get((b, jlo, inner))
-        if table is None or m >= len(table[2]):
-            return self._table(b, jlo, inner, m)[1][m]
-        return table[2][m]
+        if self.tabled:
+            table = self._tables.get(b)
+            if table is None or m >= len(table[1]):
+                table = self._table(b, jlo, m)
+            return table[1][m]
+        key = (b, jlo, jhi, inner)
+        x = self._memo.get(key)
+        if x is None:
+            r = self._reduce(b, jlo, jhi, inner)
+            x = self._memo[key] = float(r.min() if self.rising else r.max())
+        return x
 
     def _r(self, b: _Batch, val) -> np.ndarray:
-        """R per trace under the valuation (a row of a prefix table)."""
+        """R per trace under the valuation."""
         jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
         if jhi < jlo:
             return np.full(b.k, self._empty)
+        if self.tabled:
+            return self._table(b, jlo, jhi - jlo)[0][jhi - jlo]
         inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
-        return self._table(b, jlo, inner, jhi - jlo)[0][jhi - jlo]
+        return self._reduce(b, jlo, jhi, inner)
 
     def rob(self, b: _Batch, val) -> np.ndarray:
         """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``."""

@@ -138,19 +138,21 @@ def _window_error(formula: Formula, valuation: Valuation) -> str | None:
 
 
 def _windows_can_fail(formula: Formula, space: ParamSpace) -> bool:
-    """Whether ``_window_error`` can fire at some valuation inside the box:
-    a window whose lower end can be negative, or can reach its upper end
-    (meet it, for a window not closed at both ends)."""
-    def span(b: Bound) -> tuple[float, float]:
-        return (b.value, b.value) if isinstance(b, Const) else box[b.name]
+    """Whether ``_window_error`` can fire at some valuation inside the box.
 
-    box = {p.name: (p.lo, p.hi) for p in space.params}
+    A window's two ends are constants or distinct parameters, so they range
+    over the box independently.  ``interval_error`` fires at some pair of
+    ends iff it fires with the upper end at its lowest and the lower end at
+    its lowest (a negative end) or at its highest (an end past, or meeting,
+    the upper one), so those two corners decide it."""
+    box = {p.name: (Const(p.lo), Const(p.hi)) for p in space.params}
     for node in iter_nodes(formula):
         match node:
             case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                (lo_min, lo_max), (hi_min, _) = span(iv.lo), span(iv.hi)
-                closed = iv.lo_closed and iv.hi_closed
-                if lo_min < 0 or hi_min < lo_max or (hi_min == lo_max and not closed):
+                lows = (iv.lo, iv.lo) if isinstance(iv.lo, Const) else box[iv.lo.name]
+                hi = iv.hi if isinstance(iv.hi, Const) else box[iv.hi.name][0]
+                if any(interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed))
+                       for lo in lows):
                     return True
     return False
 

@@ -62,8 +62,9 @@ class SignatureIndex:
         # stacked once; default_bounds checks each template's signals
         self._batches = _stack(TrueF(), self.probe_traces, 0.0)
         self._seen: dict[tuple, Formula] = {}
-        # coordinate i -> its unit draws, the same for every template
-        self._draws: dict[int, np.ndarray] = {}
+        # coordinate i -> its generator and that generator's seeded state, so
+        # that every template's coordinate i is drawn from the same stream
+        self._rngs: dict[int, tuple] = {}
 
     def valuations(self, space: ParamSpace) -> list[dict[str, float]]:
         """Random points in the parameter box, reproducible per coordinate.
@@ -74,12 +75,13 @@ class SignatureIndex:
         """
         cols = []
         for i, d in enumerate(space.params):
-            u = self._draws.get(i)
-            if u is None:
+            got = self._rngs.get(i)
+            if got is None:
                 rng = np.random.default_rng([self.config.seed, 1, i])
-                u = self._draws[i] = rng.random(self.config.n_valuations)
-            # the arithmetic of rng.uniform(d.lo, d.hi), so the same bytes
-            cols.append((d.lo + (d.hi - d.lo) * u).tolist())
+                got = self._rngs[i] = rng, rng.bit_generator.state
+            rng, seeded = got
+            rng.bit_generator.state = seeded
+            cols.append(rng.uniform(d.lo, d.hi, self.config.n_valuations).tolist())
         return [{d.name: col[j] for d, col in zip(space.params, cols)}
                 for j in range(self.config.n_valuations)]
 

@@ -222,5 +222,7 @@ def test_warm_caches_match_fresh_queries_and_mcr(data):
             assert wrong == _rob_wrong(template, batches, valuation, mode)
             if phi is not None:
                 assert wrong / ds.n == mcr(phi, ds, mode)
-    # one entry per batch and window offsets: the thresholds share them
-    assert len(scorer._cache) <= 2 * (len(batches[0]) + len(batches[1]))
+    # one kept grid or table per batch, and one remembered extreme per batch
+    # and window offsets: the thresholds share them
+    assert len(scorer._grids) + len(scorer._tables) <= len(batches[0]) + len(batches[1])
+    assert len(scorer._memo) <= 2 * len(batches[1])

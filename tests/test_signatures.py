@@ -118,8 +118,8 @@ def test_shared_axis_prefix_probes_identically():
 
 
 def test_probe_points_are_the_bytes_of_a_uniform_draw():
-    # each coordinate's unit draws are kept in the index and scaled per box;
-    # the points must be the bytes rng.uniform(lo, hi) draws from the same seed
+    # each coordinate's generator is kept in the index and rewound per box;
+    # the points must be the bytes rng.uniform(lo, hi) draws from a fresh seed
     rng = np.random.default_rng(11)
     bounds = [(0.0, 1.0), (-11.5, 9.25), (0.0, 50.0), (-1e9, 1e9), (1e-300, 3e-300),
               (-7.3, -7.299999), (2.0, 2.0 + 2 ** -40)]

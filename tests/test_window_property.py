@@ -12,7 +12,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlmine.monitor import _FOLD_ACROSS_MIN, BIG, _Batch, _fold, _Scorer, _window_reduce
+from stlmine.monitor import (
+    _FOLD_ACROSS_MIN,
+    _ROWS_ACROSS_MIN,
+    BIG,
+    _Batch,
+    _fold,
+    _Scorer,
+    _window_reduce,
+)
 from stlmine.parser import parse_formula
 from stlmine.traces import Trace
 
@@ -127,21 +135,20 @@ def test_fold_results_negate_in_place(k):
             assert out.tobytes() == want.tobytes(), w
 
 
-# an outermost F (max) or G (min) over the raw signal, or over an inner window
-PREFIX_TEMPLATES = ["F[0,$t](x > $c)", "G[0,$t](x > $c)", "not G[0,$t](x < $c)",
-                    "F[0,$t](G[0,$s](x > $c))", "G[0,$t](F[1,$s](x > $c))"]
+# a lone F (max) or G (min) over the raw signal
+PREFIX_TEMPLATES = ["F[0,$t](x > $c)", "G[0,$t](x > $c)", "not G[0,$t](x < $c)"]
 
 
-def check_prefix_rows(b, template, jlo, inner, asked):
+def check_prefix_rows(b, template, jlo, asked):
     """Extend a prefix table to each row in ``asked`` in turn; every row built
     must equal the bytes of ``_fold`` over the same window, and its extreme
     the row's own."""
     scorer = _Scorer(parse_formula(template))
     largest = scorer.ops[0][1]
     for m in asked:
-        rows, extremes = scorer._table(b, jlo, inner, m)
+        rows, extremes = scorer._table(b, jlo, m)
         assert rows[m].flags.c_contiguous
-    cols = scorer._grid(b, inner)
+    cols = b.time_major("x")
     assert len(extremes) == max(asked) + 1
     for m, extreme in enumerate(extremes):
         want = _fold(cols[jlo : jlo + m + 1], largest)
@@ -152,20 +159,15 @@ def check_prefix_rows(b, template, jlo, inner, asked):
 
 @st.composite
 def prefix_cases(draw):
-    """A batch of 1 to 16 traces of ±0.0 ties, so that both ways of folding
-    are drawn, a table's first sample and inner offsets, and the rows asked
-    for in the order they are asked."""
+    """A batch of 1 to 16 traces of ±0.0 ties, a table's first sample, and
+    the rows asked for in the order they are asked."""
     k, n = draw(st.integers(1, 16)), draw(st.integers(1, 12))
     values = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5])
     x = np.array(draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
     template = draw(st.sampled_from(PREFIX_TEMPLATES))
     jlo = draw(st.integers(0, n - 1))
-    inner = ()
-    if "$s" in template:  # inner offsets, empty (jhi < jlo) included
-        lo = draw(st.integers(0, n - 1))
-        inner = (lo, draw(st.integers(lo - 1, n - 1)))
     asked = draw(st.lists(st.integers(0, n - 1 - jlo), min_size=1, max_size=5))
-    return _Batch([Trace({"x": row}, 1.0) for row in x]), template, jlo, inner, asked
+    return _Batch([Trace({"x": row}, 1.0) for row in x]), template, jlo, asked
 
 
 @settings(max_examples=600, deadline=None)
@@ -175,13 +177,13 @@ def test_prefix_table_rows_are_fold_bytes(case):
 
 
 @pytest.mark.parametrize("template", PREFIX_TEMPLATES)
-@pytest.mark.parametrize("k", [_FOLD_ACROSS_MIN - 1, _FOLD_ACROSS_MIN, 500])
+@pytest.mark.parametrize(
+    "k", [_FOLD_ACROSS_MIN - 1, _FOLD_ACROSS_MIN, _ROWS_ACROSS_MIN - 1, _ROWS_ACROSS_MIN, 500])
 def test_prefix_table_rows_are_fold_bytes_on_wide_batches(template, k):
-    # either side of the switch between the two folds, and an anomaly batch,
+    # either side of _fold's and the table's switches between two folds, and an anomaly batch,
     # mostly tied zeros of both signs; rows extended out of order
     rng = np.random.default_rng(k)
     x = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], (k, 101))
     b = _Batch([Trace({"x": row}, 1.0) for row in x])
-    inner = (0, 3) if "$s" in template else ()
-    cols = check_prefix_rows(b, template, 2, inner, [40, 7, 98, 98, 0])
+    cols = check_prefix_rows(b, template, 2, [40, 7, 98, 98, 0])
     assert np.count_nonzero(cols == 0) and np.signbit(cols[cols == 0]).any()
