@@ -124,3 +124,12 @@ def test_window_check_decision_on_default_boxes():
     for text, can in cases.items():
         template = parse_formula(text)
         assert _windows_can_fail(template, default_bounds(template, ds)) is can, text
+
+
+def test_window_check_fires_where_a_lower_end_can_go_negative():
+    # a hand-built box may let a window's lower end go below 0, with the
+    # upper end always above it
+    template = parse_formula("F[$l,3](x > 0)")
+    space = ParamSpace([ParamDef("l", ParamKind.VALUE, -1.0, 1.0, infer_polarity(template)["l"])])
+    assert _window_error(template, {"l": -1.0})
+    assert _windows_can_fail(template, space)
