@@ -173,6 +173,13 @@ def map_bounds(phi: Formula, fn: Callable[[Bound], Bound]) -> Formula:
     raise TypeError(f"not a formula node: {phi!r}")
 
 
+def intervals(phi: Formula) -> Iterator[Interval]:
+    """The window of every F, G and U node, in pre-order."""
+    for node in iter_nodes(phi):
+        if isinstance(node, (Finally, Globally, Until)):
+            yield node.interval
+
+
 def formula_length(phi: Formula) -> int:
     """Node count of the AST. Intervals and comparison bounds are not extra nodes."""
     return sum(1 for _ in iter_nodes(phi))
@@ -237,10 +244,9 @@ def validate_formula(phi: Formula) -> None:
                         f"parameter ${b.name} occurs at more than one position"
                     )
                 seen.add(b.name)
-        match node:
-            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                if error := interval_error(iv):
-                    raise FormulaStructureError(error)
+    for iv in intervals(phi):
+        if error := interval_error(iv):
+            raise FormulaStructureError(error)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ window has asked, and a chain (below) reads its window over the raw signal
 from them.  Both pair the same samples in the same order, so they give the
 same bytes.
 
-The single-time mode's F and G fold their window's samples left to right
-(``_fold``) over a time-major (samples x traces) copy of the window's
-columns, so numpy takes one pairwise max or min per sample across all
-traces at once instead of reducing each trace's row on its own (a batch of
-a few traces accumulates along each trace, the same fold).  A chain's
-window at t=0 folds the same samples in the same order; over the raw signal
-it reads them from a time-major copy of that signal, which the batch builds
-once, when a window first asks for it.
+A batch stacks each signal time-major, one C-contiguous (samples x traces)
+array, and every grid result has that shape, so a shift along time is a
+slice of rows.  The single-time mode's F, G and U fold their window's rows
+left to right (``_fold``), so numpy takes one pairwise max or min per sample
+across all traces at once instead of reducing each trace on its own (a batch
+of a few traces accumulates along each trace, the same fold).  A chain's
+window at t=0 folds the same samples in the same order.
 
 Robustness follows the usual max/min semantics:
 
@@ -112,9 +111,10 @@ _EPS = 1e-9
 
 
 class _Batch:
-    """Several same-shape traces stacked for vectorized evaluation."""
+    """Several same-shape traces stacked for vectorized evaluation: each
+    signal is one C-contiguous (samples x traces) array."""
 
-    __slots__ = ("signals", "absmax", "levels", "cols", "period", "start", "n", "k")
+    __slots__ = ("signals", "absmax", "levels", "period", "start", "n", "k")
 
     def __init__(self, traces: list[Trace]):
         ref = traces[0]
@@ -123,20 +123,13 @@ class _Batch:
         self.n = ref.n_samples
         self.k = len(traces)
         self.signals = {
-            name: np.array([tr.values(name) for tr in traces]) for name in ref.signal_names
+            name: np.array([tr.values(name) for tr in traces]).T.copy()
+            for name in ref.signal_names
         }
         # largest |value| per signal, so that atoms clip only when they can reach BIG
         self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
         # (signal, largest) -> doubling table of that raw signal, built as deep as asked
         self.levels: dict[tuple[str, bool], list[np.ndarray]] = {}
-        # signal -> time-major (samples x traces) copy of it, built when first asked for
-        self.cols: dict[str, np.ndarray] = {}
-
-    def time_major(self, sig: str) -> np.ndarray:
-        cols = self.cols.get(sig)
-        if cols is None:
-            cols = self.cols[sig] = np.ascontiguousarray(self.signals[sig].T)
-        return cols
 
 
 def _bound(b: Bound, val: dict[str, float] | None) -> float:
@@ -149,8 +142,11 @@ def _bound(b: Bound, val: dict[str, float] | None) -> float:
 def _end(x: float, t0: float, period: float, closed: bool, lower: bool, n: int) -> int:
     """Sample index of the window end at time t0 + x on a grid of n samples:
     the first sample at or after a lower end (after it, if open), or the last
-    at or before an upper end (before it, if open), clipped to the grid."""
+    at or before an upper end (before it, if open), clipped to the grid.
+    ``q`` is clamped to [-1, n] first, which moves no end inside the grid, so
+    that an end far past it stays finite."""
     q = (t0 + x) / period
+    q = -1.0 if q < -1.0 else n if q > n else q
     if lower:
         j = math.ceil(q - _EPS) if closed else math.floor(q + _EPS) + 1
         return j if j > 0 else 0
@@ -172,12 +168,10 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
 
 def _double(src: np.ndarray, h: int, op, dst: np.ndarray) -> np.ndarray:
     """The next level of a doubling table with spans of h samples: into dst,
-    column j reduces columns j and j+h of src, or copies column j when j+h is
-    past the grid.  Works on the flattened arrays, one contiguous pass, then
-    mends the columns that paired with the next row."""
-    n, flat = src.shape[1], src.reshape(-1)
-    op(flat[:-h], flat[h:], out=dst.reshape(-1)[:-h])
-    dst[:, n - h :] = src[:, n - h :]
+    row j reduces rows j and j+h of src, or copies row j when j+h is past
+    the grid."""
+    op(src[:-h], src[h:], out=dst[:-h])
+    dst[-h:] = src[-h:]
     return dst
 
 
@@ -188,7 +182,7 @@ def _window_reduce(
     ``fill`` scores the windows that lie wholly past the grid.
 
     Needs a non-empty window inside the grid: 0 <= jlo <= jhi < samples.
-    Level p of the doubling table of ``arr`` holds, at column j, the max (or
+    Level p of the doubling table of ``arr`` holds, at row j, the max (or
     min) of the samples j .. j+2^p-1 that exist.  A window of w samples is
     the max (or min) of two level-floor(log2 w) spans, one starting at its
     first sample and one ending at its last; a window cut off by the end of
@@ -200,26 +194,23 @@ def _window_reduce(
     here as deep as the window needs.  Both pair the same samples in the same
     order, so they give the same bytes.
     """
-    k, n = arr.shape
+    n, k = arr.shape
     w = jhi - jlo + 1
     p = w.bit_length() - 1
     op = np.maximum if largest else np.minimum
     if levels is not None:
         while len(levels) <= p:
-            levels.append(_double(levels[-1], 1 << (len(levels) - 1), op, np.empty((k, n))))
-        span, out = levels[p], np.empty((k, n))
+            levels.append(_double(levels[-1], 1 << (len(levels) - 1), op, np.empty((n, k))))
+        span, out = levels[p], np.empty((n, k))
     else:  # ping-pong between arr and one new array; the one not holding level p is out
-        span, out = np.ascontiguousarray(arr), np.empty((k, n))
+        span, out = np.ascontiguousarray(arr), np.empty((n, k))
         for i in range(p):
             span, out = _double(span, 1 << i, op, out), span
-    # columns q < c pair two spans; the row-crossing pairs of the flat pass
-    # land in columns c.. of out, which the first span and fill overwrite
+    # rows q < c pair two spans; the window at a later row fits in its first span
     c, jmid = n - 1 - jhi + (1 << p), jhi + 1 - (1 << p)
-    size = (k - 1) * n + c
-    flat = span.reshape(-1)
-    op(flat[jlo : jlo + size], flat[jmid : jmid + size], out=out.reshape(-1)[:size])
-    out[:, c : n - jlo] = span[:, c + jlo :]
-    out[:, n - jlo :] = fill
+    op(span[jlo : jlo + c], span[jmid : jmid + c], out=out[:c])
+    out[c : n - jlo] = span[c + jlo :]
+    out[n - jlo :] = fill
     return out
 
 
@@ -238,12 +229,13 @@ def _fold(cols: np.ndarray, largest: bool) -> np.ndarray:
     """Max (largest=True) or min over the rows of a (samples x traces) array,
     folded left to right: ``op(...op(op(row 0, row 1), row 2)..., last row)``.
 
-    Over many traces numpy reduces axis 0 of a C-contiguous copy one row at a
-    time, each trace in its own lane.  Over a few it accumulates along each
-    trace instead, which numpy cannot reorder (a reduce would split a single
-    trace's contiguous run across SIMD accumulators).  Both are the same
-    fold, whose order fixes which of tied zeros of opposite sign comes out.
-    The result is contiguous, so that ``_rob`` may negate it in place.
+    Over many traces numpy reduces axis 0 of the array (of a C-contiguous
+    copy, if it is not one) one row at a time, each trace in its own lane.
+    Over a few it accumulates along each trace instead, which numpy cannot
+    reorder (a reduce would split a single trace's contiguous run across SIMD
+    accumulators).  Both are the same fold, whose order fixes which of tied
+    zeros of opposite sign comes out.  The result is contiguous, so that
+    ``_rob`` may negate it in place.
     """
     op = np.maximum if largest else np.minimum
     if cols.shape[1] < _FOLD_ACROSS_MIN:
@@ -251,15 +243,14 @@ def _fold(cols: np.ndarray, largest: bool) -> np.ndarray:
     return op.reduce(np.ascontiguousarray(cols), axis=0)
 
 
-def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarray:
-    """out[q] = max over j in [q+jlo, q+jhi] of min(a2[j], min(a1[q..j-1])).
+def _until_grid(left: np.ndarray, right: np.ndarray, jlo: int, jhi: int) -> np.ndarray:
+    """out[q] = max over j in [q+jlo, q+jhi] of min(right[j], min(left[q..j-1])).
 
     Needs 0 <= jlo <= jhi < samples.  The inner min over an empty range
     (j == q) is +BIG, matching the inf over an empty set of sample times.
-    Works time-major, so that a shift by d samples is the contiguous slice [d:].
+    A shift by d samples is the contiguous slice of rows [d:].
     """
-    k, n = a1.shape
-    left, right = np.ascontiguousarray(a1.T), np.ascontiguousarray(a2.T)
+    n, k = left.shape
     out = np.full((n, k), -BIG)  # stays -BIG where the window lies past the grid
     prefix = np.full((n, k), np.inf)  # min of left[q .. q+d-1], starts empty
     cand = np.empty((n, k))
@@ -269,22 +260,22 @@ def _until_grid(a1: np.ndarray, a2: np.ndarray, jlo: int, jhi: int) -> np.ndarra
             np.minimum(right[d:], prefix[:live], out=cand[:live])
             np.maximum(out[:live], cand[:live], out=out[:live])
         np.minimum(prefix[:live], left[d:], out=prefix[:live])
-    return out.T
+    return out
 
 
 def _rob(
     node: Formula, b: _Batch, val: dict[str, float] | None = None, t: float | None = None
 ) -> np.ndarray:
-    """Robustness of node at every sample time, shape (traces, samples), or,
+    """Robustness of node at every sample time, shape (samples, traces), or,
     given a (possibly off-grid) time ``t``, at that time only, shape (traces,).
 
     Operands of temporal operators are always evaluated on the grid; at a
-    time ``t`` the window is then reduced over its own samples only, F and G
-    by a left-to-right fold of them (``_fold``).
+    time ``t`` the window is then reduced over its own samples only, by a
+    left-to-right fold of them (``_fold``).
     Parameters of a template take their values from ``val``.  Every result
     is a fresh array, so a node may overwrite its left child's result.
     """
-    shape = (b.k, b.n) if t is None else b.k
+    shape = (b.n, b.k) if t is None else b.k
     match node:
         case TrueF():
             return np.full(shape, BIG)
@@ -293,7 +284,7 @@ def _rob(
             vals = b.signals[sig]
             if t is not None:  # the sample that holds at t
                 idx = math.floor((t - b.start) / b.period + _EPS)
-                vals = vals[:, min(max(idx, 0), b.n - 1)]
+                vals = vals[min(max(idx, 0), b.n - 1)]
             out = vals - c if op in (">", ">=") else c - vals
             if b.absmax[sig] + abs(c) > BIG:  # else |out| <= |x| + |c| rounds to <= BIG
                 np.clip(out, -BIG, BIG, out=out)
@@ -319,7 +310,7 @@ def _rob(
             arr = _rob(child, b, val)
             if t is None:
                 return _window_reduce(arr, jlo, jhi, largest, -BIG if largest else BIG)
-            return _fold(arr.T[jlo : jhi + 1], largest)
+            return _fold(arr[jlo : jhi + 1], largest)
         case Until(iv, l, r):
             jlo, jhi = _window(iv, b, val, t)
             if jhi < jlo:
@@ -329,12 +320,12 @@ def _rob(
                 return _until_grid(left, right, jlo, jhi)
             k_t = max(math.ceil((t - b.start) / b.period - _EPS), 0)
             start = min(k_t, jlo)
-            # inner[:, j - start] = min of left over [start, j-1], +inf when empty
-            inner = np.empty((b.k, jhi - start + 1))
-            inner[:, 0] = np.inf
-            np.minimum.accumulate(left[:, start:jhi], axis=1, out=inner[:, 1:])
-            best = np.minimum(right[:, jlo : jhi + 1], inner[:, jlo - start :])
-            return best.max(axis=1)
+            # inner[j - start] = min of left over [start, j-1], +inf when empty
+            inner = np.empty((jhi - start + 1, b.k))
+            inner[0] = np.inf
+            np.minimum.accumulate(left[start:jhi], axis=0, out=inner[1:])
+            best = np.minimum(right[jlo : jhi + 1], inner[jlo - start :])
+            return _fold(best, True)
     raise TypeError(f"cannot evaluate {node!r}")
 
 
@@ -380,8 +371,8 @@ class _Scorer:
         self.tabled = len(self.ops) == 1 and isinstance(self.ops[0][0].lo, Const)
 
     def _grid(self, b: _Batch, inner: tuple) -> np.ndarray:
-        """R of the windows below the outermost one on the grid, (traces x
-        samples), given their offsets (jlo, jhi, jlo, jhi, ..., outermost
+        """R of the windows below the outermost one on the grid, (samples x
+        traces), given their offsets (jlo, jhi, jlo, jhi, ..., outermost
         first).  Only the batch's grid for the latest offsets is kept."""
         sig = self.atom.signal
         got = self._grids.get(b)
@@ -392,7 +383,7 @@ class _Scorer:
             largest, jlo, jhi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
             fill = -np.inf if largest else np.inf
             if jhi < jlo:
-                r = np.full((b.k, b.n), fill)
+                r = np.full((b.n, b.k), fill)
             else:
                 # the window over the raw signal reads the batch's cached table
                 levels = b.levels.setdefault((sig, largest), [r]) if i == last else None
@@ -403,7 +394,7 @@ class _Scorer:
     def _reduce(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> np.ndarray:
         """R per trace, the outermost window at t=0 being [jlo, jhi], non-empty,
         and the inner ones at the offsets ``inner``: ``_rob``'s fold."""
-        cols = self._grid(b, inner).T if inner else b.time_major(self.atom.signal)
+        cols = self._grid(b, inner) if inner else b.signals[self.atom.signal]
         return _fold(cols[jlo : jhi + 1], self.ops[0][1])
 
     def _table(self, b: _Batch, jlo: int, m: int) -> tuple[np.ndarray, list]:
@@ -414,7 +405,7 @@ class _Scorer:
         built along each trace over a few traces and a row at a time over
         many; rows are added as a window first reaches them, up to row m."""
         table = self._tables.get(b)
-        cols = b.time_major(self.atom.signal)[jlo:]
+        cols = b.signals[self.atom.signal][jlo:]
         if table is None:
             table = self._tables[b] = np.empty(cols.shape), []
         acc, ext = table

@@ -26,6 +26,7 @@ from .formula import (
     Until,
     infer_polarity,
     interval_error,
+    intervals,
     iter_nodes,
     map_bounds,
 )
@@ -127,13 +128,11 @@ def instantiate(template: Formula, valuation: Valuation, *, validate: bool = Tru
 
 def _window_error(formula: Formula, valuation: Valuation) -> str | None:
     """Why a window of the formula is ill-formed under the valuation, else None."""
-    for node in iter_nodes(formula):
-        match node:
-            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                lo = _subst_bound(iv.lo, valuation)
-                hi = _subst_bound(iv.hi, valuation)
-                if error := interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed)):
-                    return error
+    for iv in intervals(formula):
+        lo = _subst_bound(iv.lo, valuation)
+        hi = _subst_bound(iv.hi, valuation)
+        if error := interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed)):
+            return error
     return None
 
 
@@ -146,14 +145,11 @@ def _windows_can_fail(formula: Formula, space: ParamSpace) -> bool:
     its lowest (a negative end) or at its highest (an end past, or meeting,
     the upper one), so those two corners decide it."""
     box = {p.name: (Const(p.lo), Const(p.hi)) for p in space.params}
-    for node in iter_nodes(formula):
-        match node:
-            case Finally(iv, _) | Globally(iv, _) | Until(iv, _, _):
-                lows = (iv.lo, iv.lo) if isinstance(iv.lo, Const) else box[iv.lo.name]
-                hi = iv.hi if isinstance(iv.hi, Const) else box[iv.hi.name][0]
-                if any(interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed))
-                       for lo in lows):
-                    return True
+    for iv in intervals(formula):
+        lows = (iv.lo, iv.lo) if isinstance(iv.lo, Const) else box[iv.lo.name]
+        hi = iv.hi if isinstance(iv.hi, Const) else box[iv.hi.name][0]
+        if any(interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed)) for lo in lows):
+            return True
     return False
 
 

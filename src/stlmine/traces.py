@@ -34,7 +34,7 @@ class Trace:
     Values between samples follow the previous sample (piecewise-constant hold).
     """
 
-    __slots__ = ("_signals", "period", "start_time", "n_samples")
+    __slots__ = ("_signals", "signal_names", "period", "start_time", "n_samples")
 
     def __init__(self, signals, period, start_time=0.0):
         period, start_time = float(period), float(start_time)
@@ -61,13 +61,10 @@ class Trace:
         if not store:
             raise DataFormatError("a trace needs at least one signal")
         self._signals = store
+        self.signal_names: tuple[str, ...] = tuple(store)
         self.period = period
         self.start_time = start_time
         self.n_samples = n
-
-    @property
-    def signal_names(self) -> tuple[str, ...]:
-        return tuple(self._signals)
 
     @property
     def duration(self) -> float:

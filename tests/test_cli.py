@@ -308,6 +308,15 @@ def test_monitor_rejects_overflowing_literals(tmp_path, capsys):
         assert "out of the range of a float" in captured.err
 
 
+def test_monitor_window_far_past_the_trace(tmp_path, capsys):
+    # at a period of 0.5 the window end's sample index overflows a float; the
+    # window clips to the trace
+    trace = tmp_path / "t.csv"
+    trace.write_text("time,x\n0.0,5.0\n0.5,5.0\n1.0,5.0\n")
+    assert main(["monitor", "--formula", "F[0,1e308](x > 3)", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "SAT robustness=2.0\n"
+
+
 def test_enumerate_prints_length_and_template(capsys):
     assert main(["enumerate", "--signals", "x", "--max-length", "2", "--quiet"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -21,6 +21,7 @@ from stlmine.formula import (
     format_formula,
     formula_length,
     infer_polarity,
+    intervals,
     is_concrete,
     parameters,
     signals_of,
@@ -51,6 +52,13 @@ def test_parameters_preorder_interval_before_child():
     assert parameters(phi) == ["a", "b", "c"]
     psi = Until(iv(0, "w"), Atom("x", ">", Param("p")), Atom("y", "<", Param("q")))
     assert parameters(psi) == ["w", "p", "q"]
+
+
+def test_intervals_preorder():
+    until = Until(iv(0, "u"), Finally(iv(1, 2), ATOM_GT), ATOM_LT)
+    phi = Not(And(until, Globally(iv(3, 4), ATOM_GT)))
+    assert list(intervals(phi)) == [iv(0, "u"), iv(1, 2), iv(3, 4)]
+    assert list(intervals(And(ATOM_GT, Not(ATOM_LT)))) == []
 
 
 def test_signals_and_concreteness():

@@ -22,7 +22,9 @@ from stlmine.formula import (
     TrueF,
     Until,
 )
-from stlmine.monitor import BIG, _rob, _stack, robustness, robustness_many, satisfies
+from stlmine.monitor import (
+    BIG, _rob, _Scorer, _stack, robustness, robustness_many, satisfies,
+)
 from stlmine.params import default_bounds, instantiate
 from stlmine.parser import parse_formula
 
@@ -212,6 +214,27 @@ def test_window_ends_close_to_sample_times():
         frac = float(rng.choice([0.0, 0.0, 0.25, 0.5]))
         t = min(start + (int(rng.integers(0, n)) + frac) * period, trace.end_time)
         assert robustness(phi, trace, t) == brute_robustness(phi, trace, t), (phi, trace, t)
+
+
+def test_window_ends_far_past_the_trace_match_bruteforce():
+    # an end whose sample index overflows a float clips the window to the
+    # trace, or empties it, instead of raising OverflowError
+    cases = [
+        ("F[0,1e308](x > 0)", 0.5),
+        ("(x > 0) U[0,1e308] (x > 2)", 0.5),
+        ("F[0,1](x > 0)", 1e-310),
+        ("G[0,1](F[0,1e308](x > 2))", 0.5),
+        ("G[1e308,1e308](x > 0)", 0.5),
+    ]
+    for text, period in cases:
+        trace = Trace({"x": [1.0, 2.0, 3.0]}, period)
+        phi = parse_formula(text)
+        for t in (0.0, period, 2 * period):
+            assert robustness(phi, trace, t) == brute_robustness(phi, trace, t), (text, t)
+    # a chain's compiled g resolves its window ends through the same rule
+    [(_, batch)] = _stack(TrueF(), [tr([1.0, 2.0, 3.0], 0.5)], 0.0)
+    g = _Scorer(parse_formula("F[0,$t](x > $c)")).g([batch], ["t", "c"])
+    assert g([1e308, 0.0]) == 3.0
 
 
 def test_negation_duality():

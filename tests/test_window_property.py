@@ -1,7 +1,9 @@
 """Property tests: the sliding-window max/min kernel of the monitor against a
 brute-force loop over each window, and its cached doubling table against the
 table it builds per call; the single-time fold against a left-to-right loop,
-and a chain scorer's prefix tables against that fold."""
+and a chain scorer's prefix tables against that fold.  Last, the one array
+layout of the monitor: every stacked signal and every grid result is a
+C-contiguous (samples x traces) array."""
 import functools
 
 import numpy as np
@@ -12,17 +14,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stlmine.formula import (
+    COMPARATORS, And, Atom, Const, Finally, Globally, Implies, Interval, Not, Or, TrueF, Until,
+    iter_nodes,
+)
 from stlmine.monitor import (
     _FOLD_ACROSS_MIN,
     _ROWS_ACROSS_MIN,
     BIG,
     _Batch,
     _fold,
+    _rob,
     _Scorer,
     _window_reduce,
 )
 from stlmine.parser import parse_formula
 from stlmine.traces import Trace
+from test_chain_property import batches_of_two_shapes
 
 # ±0.0 and repeated values give ties; ±inf is what a chain's empty window holds
 VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -64,8 +72,9 @@ def _case(row, jlo, jhi, largest, fill):
 @example(_case([-np.inf, 0.0, -0.0, np.inf, 2.5, 2.5, -1.0], 2, 6, False, BIG))
 @example(_case([7.0], 0, 0, False, BIG))
 def test_window_reduce_matches_bruteforce(case):
-    arr, jlo, jhi, largest, fill = case
-    want = brute(arr, jlo, jhi, largest, fill)
+    rows, jlo, jhi, largest, fill = case
+    want = brute(rows, jlo, jhi, largest, fill).T
+    arr = rows.T.copy()  # (samples x traces), as a batch stacks it
     levels = [arr.copy()]
     cached = _window_reduce(levels[0], jlo, jhi, largest, fill, levels)
     assert (cached == want).all()
@@ -73,7 +82,7 @@ def test_window_reduce_matches_bruteforce(case):
     # the per-call table is built in its input array, which the caller owns
     assert _window_reduce(arr.copy(), jlo, jhi, largest, fill).tobytes() == cached.tobytes()
     # a table extended by a wider window still gives the same bytes to a narrower one
-    n = arr.shape[1]
+    n = arr.shape[0]
     _window_reduce(levels[0], 0, n - 1, largest, fill, levels)
     again = _window_reduce(levels[0], jlo, jhi, largest, fill, levels)
     assert again.tobytes() == cached.tobytes()
@@ -104,7 +113,7 @@ def test_fold_matches_a_left_to_right_loop(case):
     cols, largest = case
     want = left_fold(cols, largest)
     assert _fold(cols, largest).tobytes() == want.tobytes()
-    # a transposed view of a trace-major array, as _rob passes it
+    # _rob and the scorer pass a contiguous slice of rows; a transposed view folds the same
     rows = np.ascontiguousarray(cols.T)
     assert _fold(rows.T, largest).tobytes() == want.tobytes()
 
@@ -148,7 +157,7 @@ def check_prefix_rows(b, template, jlo, asked):
     for m in asked:
         rows, extremes = scorer._table(b, jlo, m)
         assert rows[m].flags.c_contiguous
-    cols = b.time_major("x")
+    cols = b.signals["x"]
     assert len(extremes) == max(asked) + 1
     for m, extreme in enumerate(extremes):
         want = _fold(cols[jlo : jlo + m + 1], largest)
@@ -187,3 +196,40 @@ def test_prefix_table_rows_are_fold_bytes_on_wide_batches(template, k):
     b = _Batch([Trace({"x": row}, 1.0) for row in x])
     cols = check_prefix_rows(b, template, 2, [40, 7, 98, 98, 0])
     assert np.count_nonzero(cols == 0) and np.signbit(cols[cols == 0]).any()
+
+
+# window ends on half samples up to past the grid, so windows fall between
+# samples, run off the grid, or are empty or inverted
+ENDS = st.integers(0, 16).map(lambda k: Const(k * 0.5))
+INTERVALS = st.builds(Interval, ENDS, ENDS, st.booleans(), st.booleans())
+ATOMS = st.builds(Atom, st.just("x"), st.sampled_from(COMPARATORS),
+                  st.sampled_from([0.0, 0.5, -1.0]).map(Const))
+
+
+def _operators(children):
+    return st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Implies, children, children),
+        st.builds(Finally, INTERVALS, children),
+        st.builds(Globally, INTERVALS, children),
+        st.builds(Until, INTERVALS, children, children),
+    )
+
+
+FORMULAS = st.recursive(st.one_of(ATOMS, st.just(TrueF())), _operators, max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMULAS, batches_of_two_shapes())
+def test_batches_and_grid_results_are_time_major(phi, batches):
+    # Not and Implies negate their child's result in place, which numpy gets
+    # wrong on some strided views, so every result must be contiguous
+    for b in batches:
+        for sig in b.signals.values():
+            assert sig.shape == (b.n, b.k) and sig.flags.c_contiguous
+        for node in iter_nodes(phi):
+            for sub in (node, Not(node)):
+                out = _rob(sub, b)
+                assert out.shape == (b.n, b.k) and out.flags.c_contiguous, sub
