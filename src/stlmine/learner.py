@@ -1,6 +1,6 @@
 """Classifier search: enumerate templates, fit each on the satisfaction
 boundary of the label-1 traces, keep the first instantiation whose
-misclassification rate beats the threshold.
+misclassification rate beats the threshold and whose windows are well formed.
 
 The search is shortest-formula-first, so the returned classifier is as small
 as the grammar allows.  Duplicate templates (same robustness fingerprint) are
@@ -17,7 +17,7 @@ from .errors import DataFormatError, TraceDomainError, UnknownSignalError
 from .formula import Formula, TrueF
 from .monitor import _Batch, _check_concrete, _Scorer, _stack
 from .monitor import robustness_many  # noqa: F401  (patched by perfbench/tracer.py)
-from .params import Valuation, _window_error, _windows_can_fail, default_bounds, instantiate
+from .params import Valuation, _window_error, default_bounds, instantiate
 from .signatures import SignatureConfig, SignatureIndex
 from .traces import Dataset
 
@@ -145,8 +145,8 @@ def try_classifier(
     """Fit one template: fingerprint check, then walk its boundary points.
 
     Returns a classifier as soon as one instantiation scores under the
-    threshold; a duplicate fingerprint short-circuits with ``pruned`` set and
-    no boundary evaluations.
+    threshold and has well-formed windows; a duplicate fingerprint
+    short-circuits with ``pruned`` set and no boundary evaluations.
     """
     return _fit(template, ds, _label_batches(ds), cfg, signatures, stats or LearnStats())
 
@@ -164,13 +164,12 @@ def _fit(template, ds, batches, cfg, signatures, stats) -> TryResult:
     scorer = _Scorer(template)
     query = BoundaryQuery._from_batches(scorer, space, batches[1], delta=cfg.delta,
                                         diag_tol=cfg.diag_tol, max_points=cfg.max_boundary_points)
-    check_windows = _windows_can_fail(template, space)
     for valuation in query:
         stats.boundary_points += 1
-        if check_windows and _window_error(template, valuation):
-            continue  # an inverted two-sided window: legal point, degenerate formula
         score = _count_wrong(scorer, batches, valuation, cfg.mcr_mode) / ds.n
-        if score < cfg.threshold:
+        # an inverted two-sided window is a legal point of the box but a
+        # degenerate formula; it scores through the empty-window sentinels
+        if score < cfg.threshold and not _window_error(template, valuation):
             phi = instantiate(template, valuation)
             classifier = LearnedClassifier(phi, score, template, valuation, stats)
             return TryResult(classifier=classifier, points_tested=query.points_emitted)

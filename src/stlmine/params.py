@@ -136,23 +136,6 @@ def _window_error(formula: Formula, valuation: Valuation) -> str | None:
     return None
 
 
-def _windows_can_fail(formula: Formula, space: ParamSpace) -> bool:
-    """Whether ``_window_error`` can fire at some valuation inside the box.
-
-    A window's two ends are constants or distinct parameters, so they range
-    over the box independently.  ``interval_error`` fires at some pair of
-    ends iff it fires with the upper end at its lowest and the lower end at
-    its lowest (a negative end) or at its highest (an end past, or meeting,
-    the upper one), so those two corners decide it."""
-    box = {p.name: (Const(p.lo), Const(p.hi)) for p in space.params}
-    for iv in intervals(formula):
-        lows = (iv.lo, iv.lo) if isinstance(iv.lo, Const) else box[iv.lo.name]
-        hi = iv.hi if isinstance(iv.hi, Const) else box[iv.hi.name][0]
-        if any(interval_error(Interval(lo, hi, iv.lo_closed, iv.hi_closed)) for lo in lows):
-            return True
-    return False
-
-
 def signal_ranges(ds: Dataset) -> dict[str, tuple[float, float]]:
     """(min, max) of each signal over all traces of the dataset."""
     return dict(ds.signal_ranges)

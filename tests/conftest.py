@@ -2,13 +2,26 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
+import stlmine
 from stlmine.cli import main as cli_main
 
 ACCEPTANCE_PREFIX = "tests/test_acceptance.py::test_criterion_"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_stlmine():
+    """Python processes the tests start import the stlmine the tests import:
+    pyproject.toml's ``pythonpath`` reaches the test process only."""
+    src = str(Path(stlmine.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def _run_cli(argv):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from stlmine.enumeration import CallbackResult, enumerate_templates
 from stlmine.formula import (
     And,
     Atom,
@@ -26,6 +27,7 @@ from stlmine.formula import (
     TrueF,
     Until,
 )
+from stlmine.params import _window_error, default_bounds, instantiate
 from stlmine.traces import Trace
 
 BIG = 1e9
@@ -192,6 +194,70 @@ def bisection_walk(g, space, delta: float, diag_tol: float, max_points: int) -> 
             if float(np.linalg.norm(sub_hi - sub_lo)) > delta * initial:
                 queue.append((sub_lo, sub_hi))
     return points
+
+
+def reference_learn(ds, grammar, cfg) -> dict:
+    """What ``learner.learn`` finds, rebuilt from the oracles above.
+
+    Templates come from ``enumerate_templates`` and boxes from
+    ``default_bounds``; every robustness is ``brute_robustness`` of the
+    instantiated formula: g (the least over the label-1 traces), the MCR
+    count (``> 0``) and the fingerprints, quantized as ``SignatureIndex``
+    does on the probe traces and draws of its seed.  Each box is walked with
+    ``bisection_walk``, and every point runs the window check before it is
+    scored.  Returns the template, valuation and MCR found (None when none
+    is), the search counters and the templates emitted per length.
+    """
+    sig = cfg.signature
+    rng = np.random.default_rng([sig.seed, 0])
+    picks = rng.choice(ds.n, size=min(sig.n_traces, ds.n), replace=False)
+    probes = [ds.traces[i] for i in sorted(picks)]
+    pos = [tr for tr, label in zip(ds.traces, ds.labels) if label == 1]
+    cap = math.inf if cfg.max_boundary_points is None else cfg.max_boundary_points
+    seen = set()
+    out = {"template": None, "valuation": None, "mcr": None,
+           "templates_tried": 0, "templates_pruned": 0, "boundary_points": 0}
+
+    def fingerprint(template, space):
+        cols = [np.random.default_rng([sig.seed, 1, i]).uniform(p.lo, p.hi, sig.n_valuations)
+                for i, p in enumerate(space.params)]
+        draws = [{p.name: float(col[j]) for p, col in zip(space.params, cols)}
+                 for j in range(sig.n_valuations)]
+        mat = np.array([[brute_robustness(instantiate(template, v, validate=False), tr)
+                         for v in draws] for tr in probes])
+        q = np.round(mat / sig.quantum).astype(np.int64)
+        return (space.dim, q.shape, q.tobytes())
+
+    def fit(template, length):
+        out["templates_tried"] += 1
+        space = default_bounds(template, ds)
+        if cfg.use_signatures:
+            key = fingerprint(template, space)
+            if key in seen:
+                out["templates_pruned"] += 1
+                return CallbackResult.PRUNED
+            seen.add(key)
+
+        def g(vector):
+            phi = instantiate(template, space.to_valuation(vector), validate=False)
+            return min(brute_robustness(phi, tr) for tr in pos)
+
+        for valuation in bisection_walk(g, space, cfg.delta, cfg.diag_tol, cap):
+            out["boundary_points"] += 1
+            if _window_error(template, valuation):
+                continue
+            phi = instantiate(template, valuation)
+            sat = [brute_robustness(phi, tr) > 0 for tr in ds.traces]
+            wrong = sum(s for s, label in zip(sat, ds.labels) if label == 0)
+            if cfg.mcr_mode == "symmetric":
+                wrong += sum(not s for s, label in zip(sat, ds.labels) if label == 1)
+            if wrong / ds.n < cfg.threshold:
+                out.update(template=template, valuation=valuation, mcr=wrong / ds.n)
+                return CallbackResult.STOP
+        return CallbackResult.CONTINUE
+
+    out["per_length"] = enumerate_templates(grammar, cfg.max_length, fit).per_length
+    return out
 
 
 def count_templates(n_atoms: int, n_unary: int, n_binary: int, max_len: int):

@@ -1,5 +1,4 @@
 """The demo scripts run to completion against the source tree."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +19,9 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,
-        env=env,
         capture_output=True,
         text=True,
         timeout=300,

@@ -2,8 +2,9 @@
 import pytest
 
 from stlmine import learner
+from stlmine.boundary import BoundaryQuery
 from stlmine.errors import DataFormatError, TraceDomainError
-from stlmine.formula import TrueF, formula_length
+from stlmine.formula import TrueF, formula_length, validate_formula
 from stlmine.learner import (
     MCR_ONESIDED,
     MCR_SYMMETRIC,
@@ -14,6 +15,7 @@ from stlmine.learner import (
     try_classifier,
 )
 from stlmine.monitor import robustness_many
+from stlmine.params import _window_error, default_bounds, instantiate
 from stlmine.parser import parse_formula
 from stlmine.signatures import SignatureConfig, SignatureIndex
 from stlmine.traces import Dataset, Trace
@@ -101,6 +103,30 @@ def test_try_classifier_needs_a_positive_trace():
     ds = dataset_of([(5.0, 0), (0.0, 0)])
     with pytest.raises(DataFormatError):
         try_classifier(parse_formula("x > $c"), ds)
+
+
+def test_try_classifier_skips_an_inverted_window_under_the_threshold():
+    # the label-1 traces peak at t=2, the middle of the [0, 4] time box, so
+    # the first boundary point of F[$p1,$p2] lies just short of the box
+    # diagonal's midpoint, where p1 > p2: its window is empty, no label-0
+    # trace satisfies it, and it scores 0
+    peak = Trace({"x": [0.0, 0.0, 5.0, 0.0, 0.0]}, period=1.0)
+    low = Trace({"x": [0.0] * 5}, period=1.0)
+    ds = Dataset([peak, peak, low, low], [1, 1, 0, 0])
+    template = parse_formula("F[$p1,$p2](x > $p3)")
+    cfg = LearnerConfig(threshold=0.05)
+    query = BoundaryQuery(template, default_bounds(template, ds), ds.with_label(1),
+                          delta=cfg.delta, diag_tol=cfg.diag_tol,
+                          max_points=cfg.max_boundary_points)
+    under = [(i, v) for i, v in enumerate(query)
+             if mcr(instantiate(template, v, validate=False), ds) < cfg.threshold]
+    assert _window_error(template, under[0][1])
+    first, valuation = next((i, v) for i, v in under if not _window_error(template, v))
+
+    res = try_classifier(template, ds, cfg)
+    assert res.classifier.valuation == valuation
+    assert res.points_tested == first + 1
+    validate_formula(res.classifier.formula)
 
 
 def test_learn_requires_both_classes():
