@@ -154,7 +154,6 @@ class BoundaryQuery:
         if not (0 < diag_tol < delta):
             raise ValueError(f"need 0 < diag_tol < delta, got diag_tol={diag_tol} delta={delta}")
         self.template = scorer.template
-        self.space = space
         self.delta = delta
         self.diag_tol = diag_tol
         self.max_points = max_points

@@ -63,13 +63,14 @@ holds the reduction's identity ±inf, which the clip turns into the same ±BIG.
 R depends on a valuation only through the window offsets, so it is computed
 once for many thresholds.  A lone window that starts at a constant starts at
 one sample per batch under every valuation, and the scorer keeps its R as a
-prefix table per batch: row i folds the window's first i + 1 samples as
-``_fold`` does, so one table serves every window length, and rows are added
-only as far as a window has reached.  Each row keeps its extreme over the
-traces.  Any other chain folds its outermost window as ``_rob`` does, over the
-inner windows' R on the grid, which the scorer keeps per batch for the latest
-inner offsets only, and remembers each window's extreme as a float.  So a fit
-keeps at most one (samples x traces) array per batch.  The MCR check compares
+prefix table per batch, built whole when the batch is first scored: row i
+folds the window's first i + 1 samples as ``_fold`` does, so one table serves
+every window length, and each row keeps its extreme over the traces.  Any
+other chain folds its outermost window as ``_rob`` does, over the inner
+windows' R on the grid, which it builds afresh for each set of inner offsets
+(the window over the raw signal reads the batch's doubling table), and keeps
+each window's extreme as a float.  So a fit keeps a (samples x traces) array
+only for a lone window from a constant, one per batch.  The MCR check compares
 R with the threshold directly: robustness is > 0 exactly where R lies on the
 satisfying side of c.
 
@@ -102,12 +103,9 @@ from .formula import (
     is_concrete,
     signals_of,
 )
-from .traces import Trace
+from .traces import _EPS, Trace
 
 BIG = 1e9
-
-# slack, in fractions of a sample index, when intersecting windows with the grid
-_EPS = 1e-9
 
 
 class _Batch:
@@ -318,7 +316,7 @@ def _rob(
             left, right = _rob(l, b, val), _rob(r, b, val)
             if t is None:
                 return _until_grid(left, right, jlo, jhi)
-            k_t = max(math.ceil((t - b.start) / b.period - _EPS), 0)
+            k_t = _end(0.0, t - b.start, b.period, True, True, b.n)
             start = min(k_t, jlo)
             # inner[j - start] = min of left over [start, j-1], +inf when empty
             inner = np.empty((jhi - start + 1, b.k))
@@ -336,15 +334,13 @@ class _Scorer:
     None.
 
     A lone window that starts at a constant reads R from a prefix table per
-    batch.  Any other chain folds its outermost window over the grid R of the
-    inner ones, which is kept per batch for the latest inner offsets asked.
-    So a fit holds at most one (samples x traces) array per batch, and
-    otherwise only floats: the extremes of R that no table holds."""
+    batch, built whole on first use.  Any other chain folds its outermost
+    window over the grid R of the inner ones, built afresh when needed, and
+    remembers only the extreme of R as a float.  So a fit holds a (samples x
+    traces) array only for a tabled chain, one per batch."""
 
     def __init__(self, template: Formula):
         self.template, self.ops = template, None
-        # batch -> (inner window offsets, R of the inner windows on the grid)
-        self._grids: dict[_Batch, tuple] = {}
         # batch -> (prefix table rows, row extremes), see _table
         self._tables: dict[_Batch, tuple] = {}
         # (batch, jlo, jhi, inner window offsets) -> the extreme of R, if not tabled
@@ -370,60 +366,44 @@ class _Scorer:
         # every valuation, so one prefix table per batch serves it
         self.tabled = len(self.ops) == 1 and isinstance(self.ops[0][0].lo, Const)
 
-    def _grid(self, b: _Batch, inner: tuple) -> np.ndarray:
-        """R of the windows below the outermost one on the grid, (samples x
-        traces), given their offsets (jlo, jhi, jlo, jhi, ..., outermost
-        first).  Only the batch's grid for the latest offsets is kept."""
+    def _reduce(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> np.ndarray:
+        """R per trace, the outermost window at t=0 being [jlo, jhi], non-empty,
+        and the inner ones at the offsets ``inner`` (jlo, jhi, jlo, jhi, ...,
+        outermost first): ``_rob``'s fold over the inner windows' R on the grid."""
         sig = self.atom.signal
-        got = self._grids.get(b)
-        if got is not None and got[0] == inner:
-            return got[1]
         r, last = b.signals[sig], len(self.ops) - 1
         for i in reversed(range(1, len(self.ops))):
-            largest, jlo, jhi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
+            largest, ilo, ihi = self.ops[i][1], inner[2 * i - 2], inner[2 * i - 1]
             fill = -np.inf if largest else np.inf
-            if jhi < jlo:
+            if ihi < ilo:
                 r = np.full((b.n, b.k), fill)
             else:
                 # the window over the raw signal reads the batch's cached table
                 levels = b.levels.setdefault((sig, largest), [r]) if i == last else None
-                r = _window_reduce(r, jlo, jhi, largest, fill, levels)
-        self._grids[b] = inner, r
-        return r
+                r = _window_reduce(r, ilo, ihi, largest, fill, levels)
+        return _fold(r[jlo : jhi + 1], self.ops[0][1])
 
-    def _reduce(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> np.ndarray:
-        """R per trace, the outermost window at t=0 being [jlo, jhi], non-empty,
-        and the inner ones at the offsets ``inner``: ``_rob``'s fold."""
-        cols = self._grid(b, inner) if inner else b.signals[self.atom.signal]
-        return _fold(cols[jlo : jhi + 1], self.ops[0][1])
-
-    def _table(self, b: _Batch, jlo: int, m: int) -> tuple[np.ndarray, list]:
-        """The prefix table of a lone window from sample jlo at t=0: row i holds
-        the window's R over [jlo, jlo + i] per trace, and the list each row's
-        extreme over the traces (the one that scores lowest).  Row i is
-        ``op(row i - 1, x at jlo + i)``, the left fold ``_fold`` computes,
-        built along each trace over a few traces and a row at a time over
-        many; rows are added as a window first reaches them, up to row m."""
+    def _table(self, b: _Batch, jlo: int) -> tuple[np.ndarray, list]:
+        """The prefix table of a lone window from sample jlo at t=0, built whole
+        on the first call for a batch: row i holds the window's R over
+        [jlo, jlo + i] per trace, and the list each row's extreme over the
+        traces (the one that scores lowest).  Row i is ``op(row i - 1, x at
+        jlo + i)``, the left fold ``_fold`` computes, built along each trace
+        over a few traces and a row at a time over many."""
         table = self._tables.get(b)
-        cols = b.signals[self.atom.signal][jlo:]
         if table is None:
-            table = self._tables[b] = np.empty(cols.shape), []
-        acc, ext = table
-        s = len(ext)
-        if m >= s:
+            cols = b.signals[self.atom.signal][jlo:]
             op = np.maximum if self.ops[0][1] else np.minimum
-            if b.k < _ROWS_ACROSS_MIN:  # accumulate along each trace, resumed at row s
-                rows = acc[max(s - 1, 0) : m + 1]
-                rows[1 if s else 0 :] = cols[s : m + 1]
-                op.accumulate(rows, axis=0, out=rows)
+            if b.k < _ROWS_ACROSS_MIN:  # accumulate along each trace
+                acc = op.accumulate(cols, axis=0)
             else:  # fold across the traces, one row at a time
-                if not s:
-                    acc[0] = cols[0]
-                prev = acc[max(s, 1) - 1]
-                for row, out in zip(cols[max(s, 1) : m + 1], acc[max(s, 1) : m + 1]):
+                acc = np.empty(cols.shape)
+                acc[0] = cols[0]
+                prev = acc[0]
+                for row, out in zip(cols[1:], acc[1:]):
                     prev = op(prev, row, out=out)
-            new = acc[s : m + 1]
-            ext += (new.min(axis=1) if self.rising else new.max(axis=1)).tolist()
+            ext = (acc.min(axis=1) if self.rising else acc.max(axis=1)).tolist()
+            table = self._tables[b] = acc, ext
         return table
 
     def _extreme(self, b: _Batch, jlo: int, jhi: int, inner: tuple) -> float:
@@ -433,10 +413,7 @@ class _Scorer:
         if m < 0:
             return self._empty
         if self.tabled:
-            table = self._tables.get(b)
-            if table is None or m >= len(table[1]):
-                table = self._table(b, jlo, m)
-            return table[1][m]
+            return self._table(b, jlo)[1][m]
         key = (b, jlo, jhi, inner)
         x = self._memo.get(key)
         if x is None:
@@ -450,7 +427,7 @@ class _Scorer:
         if jhi < jlo:
             return np.full(b.k, self._empty)
         if self.tabled:
-            return self._table(b, jlo, jhi - jlo)[0][jhi - jlo]
+            return self._table(b, jlo)[0][jhi - jlo]
         inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
         return self._reduce(b, jlo, jhi, inner)
 

@@ -21,7 +21,8 @@ from .errors import DataFormatError, TraceDomainError, UnknownSignalError
 # tolerated relative deviation between consecutive timestamp gaps and the period
 TIMESTAMP_RTOL = 1e-6
 
-# relative slack when snapping query times onto the sample grid
+# slack, in fractions of a sample index, when snapping times and window ends
+# onto the sample grid (here and in the monitor)
 _EPS = 1e-9
 
 # tolerated relative difference between the periods of traces in one dataset
@@ -178,11 +179,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV I/O
 
-def _fmt(v: float) -> str:
-    # repr of a Python float round-trips bit-exactly through text
-    return repr(float(v))
-
-
 def _utf8_csv(path):
     """Yield ``(file line number, row)`` for each non-blank row of a UTF-8 CSV
     file, a leading byte-order mark dropped; other bytes raise a
@@ -250,10 +246,9 @@ def save_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", *trace.signal_names])
-        times = trace.times()
-        cols = [trace.values(name) for name in trace.signal_names]
-        for k in range(trace.n_samples):
-            writer.writerow([_fmt(times[k])] + [_fmt(col[k]) for col in cols])
+        cols = [trace.times(), *(trace.values(name) for name in trace.signal_names)]
+        # repr of a Python float round-trips bit-exactly through text
+        writer.writerows(zip(*(map(repr, col.tolist()) for col in cols)))
 
 
 def read_label_manifest(path) -> list[tuple[str, int]]:

@@ -222,7 +222,9 @@ def test_warm_caches_match_fresh_queries_and_mcr(data):
             assert wrong == _rob_wrong(template, batches, valuation, mode)
             if phi is not None:
                 assert wrong / ds.n == mcr(phi, ds, mode)
-    # one kept grid or table per batch, and one remembered extreme per batch
-    # and window offsets: the thresholds share them
-    assert len(scorer._grids) + len(scorer._tables) <= len(batches[0]) + len(batches[1])
+    # at most one table per batch, none for a chain that is not tabled, and
+    # one remembered extreme per batch and window offsets: the thresholds share them
+    assert len(scorer._tables) <= len(batches[0]) + len(batches[1])
+    if not scorer.tabled:
+        assert not scorer._tables
     assert len(scorer._memo) <= 2 * len(batches[1])

@@ -148,19 +148,19 @@ def test_fold_results_negate_in_place(k):
 PREFIX_TEMPLATES = ["F[0,$t](x > $c)", "G[0,$t](x > $c)", "not G[0,$t](x < $c)"]
 
 
-def check_prefix_rows(b, template, jlo, asked):
-    """Extend a prefix table to each row in ``asked`` in turn; every row built
-    must equal the bytes of ``_fold`` over the same window, and its extreme
-    the row's own."""
+def check_prefix_rows(b, template, jlo):
+    """Build a prefix table from sample jlo; it must hold a row for every
+    window from jlo to the last sample, each row the bytes of ``_fold`` over
+    the same window and contiguous, and each extreme the row's own."""
     scorer = _Scorer(parse_formula(template))
     largest = scorer.ops[0][1]
-    for m in asked:
-        rows, extremes = scorer._table(b, jlo, m)
-        assert rows[m].flags.c_contiguous
+    rows, extremes = table = scorer._table(b, jlo)
+    assert scorer._table(b, jlo) is table  # built once per batch
     cols = b.signals["x"]
-    assert len(extremes) == max(asked) + 1
+    assert len(rows) == len(extremes) == b.n - jlo
     for m, extreme in enumerate(extremes):
         want = _fold(cols[jlo : jlo + m + 1], largest)
+        assert rows[m].flags.c_contiguous
         assert rows[m].tobytes() == want.tobytes(), m
         assert extreme == (want.min() if scorer.rising else want.max())
     return cols
@@ -168,15 +168,13 @@ def check_prefix_rows(b, template, jlo, asked):
 
 @st.composite
 def prefix_cases(draw):
-    """A batch of 1 to 16 traces of ±0.0 ties, a table's first sample, and
-    the rows asked for in the order they are asked."""
+    """A batch of 1 to 16 traces of ±0.0 ties, and a table's first sample."""
     k, n = draw(st.integers(1, 16)), draw(st.integers(1, 12))
     values = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5])
     x = np.array(draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
     template = draw(st.sampled_from(PREFIX_TEMPLATES))
     jlo = draw(st.integers(0, n - 1))
-    asked = draw(st.lists(st.integers(0, n - 1 - jlo), min_size=1, max_size=5))
-    return _Batch([Trace({"x": row}, 1.0) for row in x]), template, jlo, asked
+    return _Batch([Trace({"x": row}, 1.0) for row in x]), template, jlo
 
 
 @settings(max_examples=600, deadline=None)
@@ -190,11 +188,11 @@ def test_prefix_table_rows_are_fold_bytes(case):
     "k", [_FOLD_ACROSS_MIN - 1, _FOLD_ACROSS_MIN, _ROWS_ACROSS_MIN - 1, _ROWS_ACROSS_MIN, 500])
 def test_prefix_table_rows_are_fold_bytes_on_wide_batches(template, k):
     # either side of _fold's and the table's switches between two folds, and an anomaly batch,
-    # mostly tied zeros of both signs; rows extended out of order
+    # mostly tied zeros of both signs
     rng = np.random.default_rng(k)
     x = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], (k, 101))
     b = _Batch([Trace({"x": row}, 1.0) for row in x])
-    cols = check_prefix_rows(b, template, 2, [40, 7, 98, 98, 0])
+    cols = check_prefix_rows(b, template, 2)
     assert np.count_nonzero(cols == 0) and np.signbit(cols[cols == 0]).any()
 
 
