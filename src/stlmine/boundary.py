@@ -155,7 +155,6 @@ class BoundaryQuery:
             raise ValueError(f"need 0 < diag_tol < delta, got diag_tol={diag_tol} delta={delta}")
         self.template = scorer.template
         self.delta = delta
-        self.diag_tol = diag_tol
         self.max_points = max_points
         self.points_emitted = 0
         self.g_evaluations = 0

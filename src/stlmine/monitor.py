@@ -2,7 +2,8 @@
 
 Evaluation happens on the sample grid: atoms use piecewise-constant hold, and
 temporal operators range over the sample times inside ``t + I`` intersected
-with the trace domain.  No interpolation between samples.
+with the trace domain.  No interpolation between samples.  A time in the
+domain's slack of ``_EPS`` periods past an end is taken to the end sample.
 
 One recursive evaluator computes robustness on a batch of same-shape traces in
 one of two modes: at every sample time, or at a single (possibly off-grid)
@@ -52,16 +53,17 @@ value is already within bounds, so the results equal clipping everywhere.
 A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
 
-A template ``(not | F_I | G_I)* (x ~ c)`` factors through its threshold at t=0
-(``_Scorer``, which scores every other template by ``_rob``).  With the
-negations pushed down to the atom, each window takes the max or the min of the
-raw signal x, and robustness is ``x - c`` or ``c - x`` of that composed
-reduction R, negated once per ``not`` and clipped to [-BIG, BIG].  Rounding a
-difference, negation and the clip are monotone, so they commute with max and
-min bit for bit, the sign of zero included.  Where ``_rob`` writes ±BIG, R
-holds the reduction's identity ±inf, which the clip turns into the same ±BIG.
-R depends on a valuation only through the window offsets, so it is computed
-once for many thresholds.  A lone window that starts at a constant starts at
+``_Scorer`` answers what a fit asks at t=0: g and the MCR count (fingerprints
+call ``_rob``).  It scores a template ``(not | F_I | G_I)* (x ~ c)`` through
+its threshold, and any other by ``_rob``.  With the negations pushed down to
+the atom, each window takes the max or the min of the raw signal x, and
+robustness is ``x - c`` or ``c - x`` of that composed reduction R, negated
+once per ``not`` and clipped to [-BIG, BIG].  Rounding a difference, negation
+and the clip are monotone, so they commute with max and min bit for bit, the
+sign of zero included.  Where ``_rob`` writes ±BIG, R holds the reduction's
+identity ±inf, which the clip turns into the same ±BIG.  R depends on a
+valuation only through the window offsets, so it is computed once for many
+thresholds.  A lone window that starts at a constant starts at
 one sample per batch under every valuation, and the scorer keeps its R as a
 prefix table per batch, built whole when the batch is first scored: row i
 folds the window's first i + 1 samples as ``_fold`` does, so one table serves
@@ -152,6 +154,13 @@ def _end(x: float, t0: float, period: float, closed: bool, lower: bool, n: int) 
     return j if j < n else n - 1
 
 
+def _offset(t: float, b: _Batch) -> float:
+    """``t - b.start`` taken into [0, (n - 1) * period]: an atom at a time in
+    the domain's slack reads the end sample, and its windows start there."""
+    d, last = t - b.start, (b.n - 1) * b.period
+    return 0.0 if d < 0.0 else last if d > last else d
+
+
 def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     """Sample indices (jlo, jhi) of the window t + I, honouring open/closed
     ends and clipped to the grid; the window is empty when jhi < jlo.
@@ -159,7 +168,7 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     Given a time ``t`` these are absolute indices.  With ``t`` None they are
     offsets: the window at grid index q is q+jlo .. q+jhi.
     """
-    t0 = 0.0 if t is None else t - b.start
+    t0 = 0.0 if t is None else _offset(t, b)
     return (_end(_bound(iv.lo, val), t0, b.period, iv.lo_closed, True, b.n),
             _end(_bound(iv.hi, val), t0, b.period, iv.hi_closed, False, b.n))
 
@@ -281,8 +290,7 @@ def _rob(
             c = _bound(bound, val)
             vals = b.signals[sig]
             if t is not None:  # the sample that holds at t
-                idx = math.floor((t - b.start) / b.period + _EPS)
-                vals = vals[min(max(idx, 0), b.n - 1)]
+                vals = vals[math.floor(_offset(t, b) / b.period + _EPS)]
             out = vals - c if op in (">", ">=") else c - vals
             if b.absmax[sig] + abs(c) > BIG:  # else |out| <= |x| + |c| rounds to <= BIG
                 np.clip(out, -BIG, BIG, out=out)
@@ -316,7 +324,7 @@ def _rob(
             left, right = _rob(l, b, val), _rob(r, b, val)
             if t is None:
                 return _until_grid(left, right, jlo, jhi)
-            k_t = _end(0.0, t - b.start, b.period, True, True, b.n)
+            k_t = _end(0.0, _offset(t, b), b.period, True, True, b.n)
             start = min(k_t, jlo)
             # inner[j - start] = min of left over [start, j-1], +inf when empty
             inner = np.empty((jhi - start + 1, b.k))
@@ -328,10 +336,11 @@ def _rob(
 
 
 class _Scorer:
-    """Robustness at t=0 of one template.  A chain ``(not | F_I | G_I)* (x ~ c)``
-    with at least one window is scored from R, the composed window max/min of x
-    (see the module docstring); any other template by ``_rob``, and ``ops`` is
-    None.
+    """A template's minimum robustness over the traces at t=0 (``g``) and its
+    count above zero (``positive``).  A chain ``(not | F_I | G_I)* (x ~ c)``
+    with at least one window is scored from R, the composed window max/min of
+    x (see the module docstring); any other template by ``_rob``, and ``ops``
+    is None.
 
     A lone window that starts at a constant reads R from a prefix table per
     batch, built whole on first use.  Any other chain folds its outermost
@@ -421,31 +430,21 @@ class _Scorer:
             x = self._memo[key] = float(r.min() if self.rising else r.max())
         return x
 
-    def _r(self, b: _Batch, val) -> np.ndarray:
-        """R per trace under the valuation."""
-        jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
-        if jhi < jlo:
-            return np.full(b.k, self._empty)
-        if self.tabled:
-            return self._table(b, jlo)[0][jhi - jlo]
-        inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
-        return self._reduce(b, jlo, jhi, inner)
-
-    def rob(self, b: _Batch, val) -> np.ndarray:
-        """Robustness at t=0 per trace, bit for bit ``_rob(template, b, val, 0.0)``."""
-        if self.ops is None:
-            return _rob(self.template, b, val, 0.0)
-        r, c = self._r(b, val), _bound(self.atom.bound, val)
-        out = r - c if self.atom.op in (">", ">=") else c - r
-        return np.clip(-out if self.odd else out, -BIG, BIG)
-
     def positive(self, b: _Batch, val) -> int:
         """How many traces have robustness > 0 at t=0.  A chain compares R with
         the threshold: their difference is > 0 exactly where R is the larger,
         and negation flips, and the clip keeps, its sign."""
         if self.ops is None:
             return np.count_nonzero(_rob(self.template, b, val, 0.0) > 0)
-        r, c = self._r(b, val), _bound(self.atom.bound, val)
+        jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
+        if jhi < jlo:
+            r = np.full(b.k, self._empty)
+        elif self.tabled:
+            r = self._table(b, jlo)[0][jhi - jlo]
+        else:
+            inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
+            r = self._reduce(b, jlo, jhi, inner)
+        c = _bound(self.atom.bound, val)
         return np.count_nonzero(r > c if self.rising else r < c)
 
     def g(self, batches: list[_Batch], names: list[str]):
@@ -471,7 +470,7 @@ class _Scorer:
         for b in batches:
             ends = []
             for w, (iv, _) in enumerate(self.ops):
-                t0 = 0.0 - b.start if w == 0 else 0.0
+                t0 = _offset(0.0, b) if w == 0 else 0.0
                 for bound, closed, lower in ((iv.lo, iv.lo_closed, True),
                                              (iv.hi, iv.hi_closed, False)):
                     args = (t0, b.period, closed, lower, b.n)

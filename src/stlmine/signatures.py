@@ -3,8 +3,8 @@
 Two templates that produce identical robustness values on a fixed probe set
 (a handful of traces crossed with a handful of random parameter valuations)
 are treated as equivalent, and only the first one is kept.  The probe traces
-are drawn from the training data once per index; the valuations are derived
-from the parameter bounds with a seeded generator, so a given seed always
+are drawn from the training data once per index; the valuations scale one
+seeded draw per coordinate into the parameter bounds, so a given seed always
 yields the same fingerprints.
 
 The fingerprint of a template is the matrix ``S[i][j]`` = robustness of the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Formula, TrueF
-from .monitor import _Scorer, _stack
+from .monitor import _rob, _stack
 from .monitor import robustness  # noqa: F401  (patched by perfbench/tracer.py)
 from .params import ParamSpace, default_bounds
 from .params import instantiate  # noqa: F401  (patched by perfbench/tracer.py)
@@ -62,26 +62,24 @@ class SignatureIndex:
         # stacked once; default_bounds checks each template's signals
         self._batches = _stack(TrueF(), self.probe_traces, 0.0)
         self._seen: dict[tuple, Formula] = {}
-        # coordinate i -> its generator and that generator's seeded state, so
-        # that every template's coordinate i is drawn from the same stream
-        self._rngs: dict[int, tuple] = {}
+        # coordinate i -> its draws on [0, 1), shared by every template
+        self._draws: dict[int, list[float]] = {}
 
     def valuations(self, space: ParamSpace) -> list[dict[str, float]]:
         """Random points in the parameter box, reproducible per coordinate.
 
         The draw for coordinate i depends only on (seed, i) and that
         coordinate's bounds, so templates sharing a box prefix probe the
-        shared coordinates identically.
+        shared coordinates identically.  ``lo + (hi - lo) * u`` is
+        ``Generator.uniform``'s arithmetic on its draw u, so the bytes match.
         """
         cols = []
         for i, d in enumerate(space.params):
-            got = self._rngs.get(i)
-            if got is None:
+            u = self._draws.get(i)
+            if u is None:
                 rng = np.random.default_rng([self.config.seed, 1, i])
-                got = self._rngs[i] = rng, rng.bit_generator.state
-            rng, seeded = got
-            rng.bit_generator.state = seeded
-            cols.append(rng.uniform(d.lo, d.hi, self.config.n_valuations).tolist())
+                u = self._draws[i] = rng.random(self.config.n_valuations).tolist()
+            cols.append([d.lo + (d.hi - d.lo) * x for x in u])
         return [{d.name: col[j] for d, col in zip(space.params, cols)}
                 for j in range(self.config.n_valuations)]
 
@@ -89,10 +87,9 @@ class SignatureIndex:
         cfg = self.config
         vals = self.valuations(space)
         mat = np.empty((len(self.probe_traces), len(vals)))
-        rob = _Scorer(template).rob
         for j, v in enumerate(vals):
             for idx, batch in self._batches:
-                mat[idx, j] = rob(batch, v)
+                mat[idx, j] = _rob(template, batch, v, 0.0)
         q = np.round(mat / cfg.quantum).astype(np.int64)
         return (space.dim, q.shape, q.tobytes())
 

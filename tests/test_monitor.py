@@ -25,7 +25,7 @@ from stlmine.formula import (
 from stlmine.monitor import (
     BIG, _rob, _Scorer, _stack, robustness, robustness_many, satisfies,
 )
-from stlmine.params import default_bounds, instantiate
+from stlmine.params import _window_error, default_bounds, instantiate
 from stlmine.parser import parse_formula
 
 
@@ -33,7 +33,7 @@ def tr(values, period=1.0):
     return Trace({"x": np.asarray(values, dtype=float)}, period)
 
 
-from stlmine.traces import Dataset, Trace  # noqa: E402
+from stlmine.traces import _EPS, Dataset, Trace  # noqa: E402
 
 
 def test_atom_margin():
@@ -235,6 +235,73 @@ def test_window_ends_far_past_the_trace_match_bruteforce():
     [(_, batch)] = _stack(TrueF(), [tr([1.0, 2.0, 3.0], 0.5)], 0.0)
     g = _Scorer(parse_formula("F[0,$t](x > $c)")).g([batch], ["t", "c"])
     assert g([1e308, 0.0]) == 3.0
+
+
+def _slack_formulas(p, ends):
+    """F, G and U with point windows at 0 and wider windows, ends in periods p."""
+    (a1, b1), (a2, b2), (a3, b3) = ends
+
+    def iv(a, b):
+        return Interval(Const(a * p), Const(b * p))
+
+    def x(op, c):
+        return Atom("x", op, Const(c))
+
+    return [Finally(iv(0, 0), x(">", 0.0)), Finally(iv(a1, b1), x(">", 2.5)),
+            Globally(iv(0, 0), x(">", 0.0)), Globally(iv(a2, b2), x("<", 2.5)),
+            Until(iv(0, 0), x(">", 0.0), x(">", 0.0)),
+            Until(iv(a3, b3), x(">", 1.5), x(">", 2.5)), Finally(iv(0, 0.5), x("<", 1.5))]
+
+
+def test_times_inside_the_domain_slack_read_the_end_samples():
+    # a time up to _EPS periods before the first sample or after the last is
+    # in the domain; its windows start from that sample, as its atoms read it.
+    # Against the oracle, the far ends of the wider windows lie between
+    # samples: at the slack's edge an end k periods on lies exactly at the
+    # oracle's tolerance around sample k, where rounding decides.
+    checks = 0
+    for start in (0.0, -0.3, 5.0, 1e3, 0.7):
+        for period in (1e-3, 0.1, 0.25, 0.3, 0.5, 1.0, 3.0):
+            for n in (1, 3, 7):
+                trace = Trace({"x": np.arange(1.0, n + 1)}, period, start)
+                slack = _EPS * period
+                times = (start - slack, start, trace.end_time, trace.end_time + slack)
+                for t in times:
+                    assert trace.contains_time(t)
+                    for phi in _slack_formulas(period, [(0, 1.5), (0.5, 2.5), (0, 1.5)]):
+                        want = brute_robustness(phi, trace, t)
+                        assert robustness(phi, trace, t) == want, (phi, start, period, n, t)
+                        assert robustness_many(phi, [trace, trace], t).tolist() == [want] * 2
+                        checks += 1
+                # with ends on samples, a time in the slack scores as its sample
+                for t, at in ((start - slack, start), (trace.end_time + slack, trace.end_time)):
+                    for phi in _slack_formulas(period, [(0, 2), (1, 3), (1, 1)]):
+                        want = robustness(phi, trace, at)
+                        assert robustness(phi, trace, t) == want, (phi, start, period, n, t)
+                        assert robustness_many(phi, [trace], t).tolist() == [want]
+    assert checks == 2940
+
+
+def test_chain_g_at_a_batch_starting_inside_the_slack():
+    # t=0 lies _EPS periods before the first sample: g plans its windows from
+    # that sample, as _rob does.  At a period of 1.905, -start / period + _EPS
+    # rounds below 0, so an end left unsnapped drops the first sample
+    for period in (0.1, 1.0, 1.905):
+        traces = [Trace({"x": [1.0, -2.0, 3.0, 0.5]}, period, _EPS * period),
+                  Trace({"x": [2.0, 1.0, -1.0, 4.0]}, period, _EPS * period)]
+        [(_, b)] = _stack(TrueF(), traces, 0.0)
+        for text in ("F[0,$t](x > $c)", "G[$a,$t](x > $c)", "not F[0,$t](G[0,$a](x < $c))"):
+            template = parse_formula(text)
+            names = sorted(["a", "t", "c"] if "$a" in text else ["t", "c"])
+            g = _Scorer(template).g([b], names)
+            for a, t, c in ((0, 0, 0.5), (0, 1, 0.5), (1, 2, -1.5), (0, 3, 2.5), (2, 2, 0.0)):
+                val = {"a": a * period, "t": t * period, "c": c}
+                val = {name: val[name] for name in names}
+                want = _rob(template, b, val, 0.0)
+                assert g(list(val.values())) == float(want.min()), (text, val)
+                if _window_error(template, val) is None:
+                    phi = instantiate(template, val)
+                    assert want.tolist() == [brute_robustness(phi, trace) for trace in traces]
 
 
 def test_negation_duality():
