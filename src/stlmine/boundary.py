@@ -31,7 +31,9 @@ g is ``monitor._Scorer.g``, compiled once per query.  For a template that is
 one atom under ``not``/``F``/``G``, robustness is monotone in a window
 reduction of the raw signal, so g scores that reduction's extreme over the
 traces, kept per batch and window offsets: a g call on known offsets is one
-lookup and one subtraction.
+lookup and one subtraction.  Any other template is compiled once per batch
+into one closure per formula node (``monitor._compile``), so a g call runs
+the numpy operations without walking the formula tree.
 
 The search runs on Python floats.  Boxes are (lo, hi) lists, and a probe
 ``h + i / n * d`` does numpy's operations on the vectors, in the same order,

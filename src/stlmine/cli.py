@@ -30,8 +30,13 @@ from .traces import load_csv_dir, load_trace_csv, save_csv_dir, split_dataset
 from .datagen import GENERATORS
 
 
-def _split_names(spec: str) -> list[str]:
-    return [s.strip() for s in spec.split(",") if s.strip()]
+def _split_names(args) -> list[str]:
+    """The names of --signals, each once, in first-seen order; a list that
+    names no signal is a usage error."""
+    names = list(dict.fromkeys(s.strip() for s in args.signals.split(",") if s.strip()))
+    if not names:
+        args.usage_error(f"--signals names no signal: {args.signals!r}")
+    return names
 
 
 def _seed(text: str) -> int:
@@ -56,9 +61,9 @@ def cmd_learn(args) -> int:
             raise ValueError(f"--split must be in (0,1), got {args.split}")
     except ValueError as e:
         args.usage_error(str(e))
+    names = None if args.signals is None else _split_names(args)
     ds = load_csv_dir(args.data, manifest=args.labels, require_both_classes=True)
-    if args.signals:
-        names = _split_names(args.signals)
+    if names is not None:
         unknown = [s for s in names if s not in ds.signal_names]
         if unknown:
             raise DataFormatError(f"--signals names not in the data: {', '.join(unknown)}")
@@ -128,7 +133,7 @@ def cmd_monitor(args) -> int:
 def cmd_enumerate(args) -> int:
     unary_ops = tuple(op for op in UNARY_OPS if op != "not") if args.no_negation else UNARY_OPS
     grammar = Grammar.default(
-        _split_names(args.signals),
+        _split_names(args),
         unary_ops=unary_ops,
         two_sided_intervals=args.two_sided_intervals,
     )

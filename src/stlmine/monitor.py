@@ -5,10 +5,16 @@ temporal operators range over the sample times inside ``t + I`` intersected
 with the trace domain.  No interpolation between samples.  A time in the
 domain's slack of ``_EPS`` periods past an end is taken to the end sample.
 
-One recursive evaluator computes robustness on a batch of same-shape traces in
-one of two modes: at every sample time, or at a single (possibly off-grid)
-time.  Operands of temporal operators always use the grid mode; the
-single-time mode reduces only the one window it needs.
+One evaluator computes robustness on a batch of same-shape traces in one of
+two modes: at every sample time, or at a single (possibly off-grid) time.
+Operands of temporal operators always use the grid mode; the single-time mode
+reduces only the one window it needs.  The evaluator is compiled per batch
+(``_compile``): one walk of the formula tree gives one closure per node, which
+holds what a valuation cannot change (its ufunc, its signal's stacked array,
+its window ends resolved to sample indices or parameter positions), and a
+call takes the list of parameter values.  ``_rob`` compiles and calls once;
+the boundary search's g, the MCR check and fingerprints compile a template
+once and call it for every valuation.
 
 The grid mode's window max/min (the sliding-window max/min of Donzé, Ferrère
 and Maler, "Efficient Robust Monitoring for STL", CAV 2013) is a doubling
@@ -16,7 +22,7 @@ table in numpy (``_window_reduce``): level p holds, at each sample, the max
 or min of the 2^p samples from it on (fewer at the end of the grid), built
 from level p-1 by one pairwise max or min, and a window of w samples is the
 max or min of two overlapping level-floor(log2 w) spans.  A window cut off by
-the end of the grid reduces the samples that exist.  ``_rob`` builds the
+the end of the grid reduces the samples that exist.  A window builds the
 levels of each fresh child array in that array and its output array; a
 batch caches the levels of each raw signal, per direction, as deep as a
 window has asked, and a chain (below) reads its window over the raw signal
@@ -54,8 +60,10 @@ A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
 
 ``_Scorer`` answers what a fit asks at t=0: g and the MCR count (fingerprints
-call ``_rob``).  It scores a template ``(not | F_I | G_I)* (x ~ c)`` through
-its threshold, and any other by ``_rob``.  With the negations pushed down to
+call the compiled template).  It scores a template ``(not | F_I | G_I)*
+(x ~ c)`` through its threshold, and any other by its compiled closure, one
+per batch, built once per fit and shared by g and the MCR check.  With the
+negations pushed down to
 the atom, each window takes the max or the min of the raw signal x, and
 robustness is ``x - c`` or ``c - x`` of that composed reduction R, negated
 once per ``not`` and clipped to [-BIG, BIG].  Rounding a difference, negation
@@ -78,8 +86,9 @@ satisfying side of c.
 
 The boundary search calls ``_Scorer.g``, a function of the parameter list
 built once per fit.  For a chain it resolves every window end to a constant's
-sample index or a parameter's position when it is built, and a call reads one
-extreme per batch and subtracts and clips in Python floats.
+sample index or a parameter's position when it is built, as ``_compile``
+does, and a call reads one extreme per batch and subtracts and clips in
+Python floats.  For any other template a call runs the compiled closures.
 """
 from __future__ import annotations
 
@@ -171,6 +180,24 @@ def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
     t0 = 0.0 if t is None else _offset(t, b)
     return (_end(_bound(iv.lo, val), t0, b.period, iv.lo_closed, True, b.n),
             _end(_bound(iv.hi, val), t0, b.period, iv.hi_closed, False, b.n))
+
+
+def _resolve(iv: Interval, b: _Batch, names: list[str], t: float | None) -> list:
+    """``_window``'s two ends, resolved once for a parameter list in ``names``
+    order: a Const end to its sample index, a Param end to its position in
+    the list followed by the other arguments of ``_end``.  ``_at`` reads one."""
+    t0 = 0.0 if t is None else _offset(t, b)
+    ends = []
+    for bound, closed, lower in ((iv.lo, iv.lo_closed, True), (iv.hi, iv.hi_closed, False)):
+        args = (t0, b.period, closed, lower, b.n)
+        ends.append(_end(bound.value, *args) if isinstance(bound, Const)
+                    else (names.index(bound.name), *args))
+    return ends
+
+
+def _at(e, v) -> int:
+    """The sample index of an end resolved by ``_resolve``, under the values v."""
+    return e if e.__class__ is int else _end(v[e[0]], e[1], e[2], e[3], e[4], e[5])
 
 
 def _double(src: np.ndarray, h: int, op, dst: np.ndarray) -> np.ndarray:
@@ -270,77 +297,114 @@ def _until_grid(left: np.ndarray, right: np.ndarray, jlo: int, jhi: int) -> np.n
     return out
 
 
-def _rob(
-    node: Formula, b: _Batch, val: dict[str, float] | None = None, t: float | None = None
-) -> np.ndarray:
-    """Robustness of node at every sample time, shape (samples, traces), or,
-    given a (possibly off-grid) time ``t``, at that time only, shape (traces,).
+def _compile(node: Formula, b: _Batch, names: list[str], t: float | None = None):
+    """Robustness of node on batch b, compiled: the function of a list v of
+    parameter values, in ``names`` order, that gives robustness at every
+    sample time, shape (samples, traces), or, given a (possibly off-grid)
+    time ``t``, at that time only, shape (traces,).
 
-    Operands of temporal operators are always evaluated on the grid; at a
-    time ``t`` the window is then reduced over its own samples only, by a
-    left-to-right fold of them (``_fold``).
-    Parameters of a template take their values from ``val``.  Every result
-    is a fresh array, so a node may overwrite its left child's result.
+    Each node becomes one closure that holds its ufunc, its signal's stacked
+    array (an atom at ``t`` reads the row that holds then), its clip decision
+    where the threshold is a constant, its window ends resolved by
+    ``_resolve`` and, for Until at ``t``, the sample k_t of ``t``.  Operands
+    of temporal operators are always evaluated on the grid; at a time ``t``
+    the window is then reduced over its own samples only, by a left-to-right
+    fold of them (``_fold``).  Every call returns a fresh C-contiguous array
+    and keeps nothing, so a node may overwrite its left child's result.
     """
     shape = (b.n, b.k) if t is None else b.k
     match node:
         case TrueF():
-            return np.full(shape, BIG)
+            return lambda v: np.full(shape, BIG)
         case Atom(sig, op, bound):
-            c = _bound(bound, val)
-            vals = b.signals[sig]
+            x, m, gt = b.signals[sig], b.absmax[sig], op in (">", ">=")
             if t is not None:  # the sample that holds at t
-                vals = vals[math.floor(_offset(t, b) / b.period + _EPS)]
-            out = vals - c if op in (">", ">=") else c - vals
-            if b.absmax[sig] + abs(c) > BIG:  # else |out| <= |x| + |c| rounds to <= BIG
-                np.clip(out, -BIG, BIG, out=out)
-            return out
+                x = x[math.floor(_offset(t, b) / b.period + _EPS)]
+            i = None if isinstance(bound, Const) else names.index(bound.name)
+            if i is None and m + abs(bound.value) <= BIG:  # the clip cannot bite
+                c = bound.value
+                return (lambda v: x - c) if gt else (lambda v: c - x)
+
+            def atom(v):
+                c = bound.value if i is None else v[i]
+                out = x - c if gt else c - x
+                if m + abs(c) > BIG:  # else |out| <= |x| + |c| rounds to <= BIG
+                    np.clip(out, -BIG, BIG, out=out)
+                return out
+            return atom
         case Not(child):
-            out = _rob(child, b, val, t)
-            return np.negative(out, out=out)
-        case And(l, r):
-            out = _rob(l, b, val, t)
-            return np.minimum(out, _rob(r, b, val, t), out=out)
-        case Or(l, r):
-            out = _rob(l, b, val, t)
-            return np.maximum(out, _rob(r, b, val, t), out=out)
-        case Implies(l, r):
-            out = _rob(l, b, val, t)
-            np.negative(out, out=out)
-            return np.maximum(out, _rob(r, b, val, t), out=out)
+            f = _compile(child, b, names, t)
+
+            def negate(v):
+                out = f(v)
+                return np.negative(out, out=out)
+            return negate
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            fl, fr = _compile(l, b, names, t), _compile(r, b, names, t)
+            op = np.minimum if isinstance(node, And) else np.maximum
+            flip = isinstance(node, Implies)
+
+            def combine(v):
+                out = fl(v)
+                if flip:
+                    np.negative(out, out=out)
+                return op(out, fr(v), out=out)
+            return combine
         case Finally(iv, child) | Globally(iv, child):
             largest = isinstance(node, Finally)
-            jlo, jhi = _window(iv, b, val, t)
-            if jhi < jlo:
-                return np.full(shape, -BIG if largest else BIG)
-            arr = _rob(child, b, val)
-            if t is None:
-                return _window_reduce(arr, jlo, jhi, largest, -BIG if largest else BIG)
-            return _fold(arr[jlo : jhi + 1], largest)
+            fill = -BIG if largest else BIG
+            lo, hi = _resolve(iv, b, names, t)
+            f = _compile(child, b, names)
+
+            def window(v):
+                jlo, jhi = _at(lo, v), _at(hi, v)
+                if jhi < jlo:
+                    return np.full(shape, fill)
+                if t is None:
+                    return _window_reduce(f(v), jlo, jhi, largest, fill)
+                return _fold(f(v)[jlo : jhi + 1], largest)
+            return window
         case Until(iv, l, r):
-            jlo, jhi = _window(iv, b, val, t)
-            if jhi < jlo:
-                return np.full(shape, -BIG)
-            left, right = _rob(l, b, val), _rob(r, b, val)
-            if t is None:
-                return _until_grid(left, right, jlo, jhi)
-            k_t = _end(0.0, _offset(t, b), b.period, True, True, b.n)
-            start = min(k_t, jlo)
-            # inner[j - start] = min of left over [start, j-1], +inf when empty
-            inner = np.empty((jhi - start + 1, b.k))
-            inner[0] = np.inf
-            np.minimum.accumulate(left[start:jhi], axis=0, out=inner[1:])
-            best = np.minimum(right[jlo : jhi + 1], inner[jlo - start :])
-            return _fold(best, True)
+            lo, hi = _resolve(iv, b, names, t)
+            fl, fr = _compile(l, b, names), _compile(r, b, names)
+            k_t = None if t is None else _end(0.0, _offset(t, b), b.period, True, True, b.n)
+
+            def until(v):
+                jlo, jhi = _at(lo, v), _at(hi, v)
+                if jhi < jlo:
+                    return np.full(shape, -BIG)
+                left, right = fl(v), fr(v)
+                if t is None:
+                    return _until_grid(left, right, jlo, jhi)
+                start = min(k_t, jlo)
+                # inner[j - start] = min of left over [start, j-1], +inf when empty
+                inner = np.empty((jhi - start + 1, b.k))
+                inner[0] = np.inf
+                np.minimum.accumulate(left[start:jhi], axis=0, out=inner[1:])
+                best = np.minimum(right[jlo : jhi + 1], inner[jlo - start :])
+                return _fold(best, True)
+            return until
     raise TypeError(f"cannot evaluate {node!r}")
+
+
+def _rob(
+    node: Formula, b: _Batch, val: dict[str, float] | None = None, t: float | None = None
+) -> np.ndarray:
+    """Robustness of node at every sample time, shape (samples, traces), or,
+    given a (possibly off-grid) time ``t``, at that time only, shape (traces,),
+    its parameters taking their values from ``val``: ``_compile``'s closure,
+    built and called once.  Every result is a fresh C-contiguous array."""
+    return _compile(node, b, list(val or ()), t)(list((val or {}).values()))
 
 
 class _Scorer:
     """A template's minimum robustness over the traces at t=0 (``g``) and its
     count above zero (``positive``).  A chain ``(not | F_I | G_I)* (x ~ c)``
     with at least one window is scored from R, the composed window max/min of
-    x (see the module docstring); any other template by ``_rob``, and ``ops``
-    is None.
+    x (see the module docstring); any other template, whose ``ops`` is None,
+    by ``_compile``'s closure at t=0, compiled once per batch: g compiles the
+    batches it scores, and ``positive`` reuses that closure or compiles one on
+    first use.
 
     A lone window that starts at a constant reads R from a prefix table per
     batch, built whole on first use.  Any other chain folds its outermost
@@ -354,6 +418,8 @@ class _Scorer:
         self._tables: dict[_Batch, tuple] = {}
         # (batch, jlo, jhi, inner window offsets) -> the extreme of R, if not tabled
         self._memo: dict[tuple, float] = {}
+        # batch -> (parameter names, the template compiled at t=0), if not a chain
+        self._compiled: dict[_Batch, tuple] = {}
         ops, odd, node = [], False, template
         while isinstance(node, (Not, Finally, Globally)):
             if isinstance(node, Not):
@@ -435,7 +501,8 @@ class _Scorer:
         the threshold: their difference is > 0 exactly where R is the larger,
         and negation flips, and the clip keeps, its sign."""
         if self.ops is None:
-            return np.count_nonzero(_rob(self.template, b, val, 0.0) > 0)
+            names, f = self._compiled.get(b) or self._compile_on(b, list(val or ()))
+            return np.count_nonzero(f([val[name] for name in names]) > 0)
         jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
         if jhi < jlo:
             r = np.full(b.k, self._empty)
@@ -447,48 +514,46 @@ class _Scorer:
         c = _bound(self.atom.bound, val)
         return np.count_nonzero(r > c if self.rising else r < c)
 
+    def _compile_on(self, b: _Batch, names: list[str]) -> tuple:
+        """The template, not a chain, compiled at t=0 on batch b for a
+        parameter list in ``names`` order, kept per batch with the names."""
+        entry = self._compiled[b] = names, _compile(self.template, b, names, 0.0)
+        return entry
+
     def g(self, batches: list[_Batch], names: list[str]):
         """The function of a list v of parameter values that gives, as a Python
         float, ``min(float(_rob(template, b, dict(zip(names, v)), 0.0).min())
         for b in batches)``.
 
-        A chain resolves each window end here, once, to a constant's sample
-        index or to a parameter's index into v with the arguments of ``_end``,
-        and scores a call from one extreme of R per batch.  Robustness is
-        monotone in R, so the lowest-scoring extreme over the batches gives
-        the minimum; it is clipped in floats, as np.clip would.
+        Any template but a chain is compiled here, once per batch, and a call
+        runs the compiled closures.  A chain resolves each window end here,
+        once, by ``_resolve``, and scores a call from one extreme of R per
+        batch.  Robustness is monotone in R, so the lowest-scoring extreme
+        over the batches gives the minimum; it is clipped in floats, as
+        np.clip would.
         """
         if self.ops is None:
-            template = self.template
-
-            def g(v):
-                val = dict(zip(names, v))
-                return min(float(_rob(template, b, val, 0.0).min()) for b in batches)
-            return g
+            fs = [self._compile_on(b, names)[1] for b in batches]
+            least = np.minimum.reduce  # what ndarray.min runs, without its wrapper
+            if len(fs) == 1:
+                f = fs[0]
+                return lambda v: float(least(f(v), axis=None))
+            return lambda v: min([float(least(f(v), axis=None)) for f in fs])
 
         plans = []
         for b in batches:
-            ends = []
-            for w, (iv, _) in enumerate(self.ops):
-                t0 = _offset(0.0, b) if w == 0 else 0.0
-                for bound, closed, lower in ((iv.lo, iv.lo_closed, True),
-                                             (iv.hi, iv.hi_closed, False)):
-                    args = (t0, b.period, closed, lower, b.n)
-                    ends.append(_end(bound.value, *args) if isinstance(bound, Const)
-                                else (names.index(bound.name), *args))
+            ends = [e for w, (iv, _) in enumerate(self.ops)
+                    for e in _resolve(iv, b, names, 0.0 if w == 0 else None)]
             plans.append((b, ends[0], ends[1], ends[2:]))
         c = self.atom.bound
         ci, cv = (None, c.value) if isinstance(c, Const) else (names.index(c.name), None)
         gt, odd, rising, extreme = self.atom.op in (">", ">="), self.odd, self.rising, self._extreme
 
-        def at(e, v):  # the sample index of a resolved window end
-            return e if e.__class__ is int else _end(v[e[0]], e[1], e[2], e[3], e[4], e[5])
-
         def g(v):
             r = None
             for b, lo, hi, inner in plans:
-                offsets = tuple([at(e, v) for e in inner]) if inner else ()
-                x = extreme(b, at(lo, v), at(hi, v), offsets)
+                offsets = tuple([_at(e, v) for e in inner]) if inner else ()
+                x = extreme(b, _at(lo, v), _at(hi, v), offsets)
                 if r is None or (x < r if rising else x > r):
                     r = x
             c = cv if ci is None else v[ci]

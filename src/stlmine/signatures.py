@@ -10,7 +10,9 @@ yields the same fingerprints.
 The fingerprint of a template is the matrix ``S[i][j]`` = robustness of the
 template under valuation j on probe trace i at time 0, quantized to a fixed
 grid so that equal-up-to-noise matrices collide.  Matrices of different
-shapes, or of templates with different parameter counts, never collide.
+shapes, or of templates with different parameter counts, never collide.  The
+template is compiled once per probe batch (``monitor._compile``), and the
+compiled closure is called once per valuation.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Formula, TrueF
-from .monitor import _rob, _stack
+from .monitor import _compile, _stack
 from .monitor import robustness  # noqa: F401  (patched by perfbench/tracer.py)
 from .params import ParamSpace, default_bounds
 from .params import instantiate  # noqa: F401  (patched by perfbench/tracer.py)
@@ -87,9 +89,12 @@ class SignatureIndex:
         cfg = self.config
         vals = self.valuations(space)
         mat = np.empty((len(self.probe_traces), len(vals)))
+        compiled = [(idx, _compile(template, batch, space.names, 0.0))
+                    for idx, batch in self._batches]
         for j, v in enumerate(vals):
-            for idx, batch in self._batches:
-                mat[idx, j] = _rob(template, batch, v, 0.0)
+            vector = list(v.values())
+            for idx, f in compiled:
+                mat[idx, j] = f(vector)
         q = np.round(mat / cfg.quantum).astype(np.int64)
         return (space.dim, q.shape, q.tobytes())
 

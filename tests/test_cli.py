@@ -238,6 +238,44 @@ def test_learn_bad_split_and_signals(flat_dataset_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", [",", " , ", ""])
+def test_signals_naming_no_signal_are_usage_errors(spec, flat_dataset_dir, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for argv in (["learn", "--data", str(flat_dataset_dir), "--out", str(out)],
+                 ["enumerate", "--max-length", "2"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--signals", spec])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"usage: stlmine {argv[0]}" in captured.err
+        assert "--signals names no signal" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
+def test_repeated_signal_names_count_once(tmp_path, capsys):
+    assert main(["enumerate", "--signals", "x,x", "--max-length", "1", "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1\tx > $p1", "1\tx < $p1"]
+    assert main(["enumerate", "--signals", " y, x ,y", "--max-length", "1", "--quiet"]) == 0
+    assert [ln.split("\t")[1] for ln in capsys.readouterr().out.splitlines()] == [
+        "y > $p1", "y < $p1", "x > $p1", "x < $p1"]
+    # x does not separate the labels, so every length-1 template is tried
+    ds = Dataset([Trace({"x": [v, v], "y": [1.0, 1.0]}, 1.0) for v in (0.0, 1.0, 0.0, 1.0)],
+                 [1, 1, 0, 0])
+    save_csv_dir(ds, tmp_path / "data")
+    reports = []
+    for spec in ("x", "x,x", "x, x ,x"):
+        out = tmp_path / "r.json"
+        assert main(["learn", "--data", str(tmp_path / "data"), "--out", str(out),
+                     "--max-length", "1", "--signals", spec, "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        del report["stats"]["elapsed_ms"]
+        reports.append(report)
+    assert reports[0]["stats"]["templates_tried"] == 2
+    assert reports[0]["found"] is False
+    assert reports[1] == reports[2] == reports[0]
+
+
 def test_learn_split_leaving_no_test_trace_exits_1(tmp_path, capsys):
     ds = Dataset([Trace({"x": [5.0, 5.0]}, 1.0), Trace({"x": [0.0, 0.0]}, 1.0)], [1, 0])
     data = tmp_path / "one_per_label"

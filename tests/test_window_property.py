@@ -3,7 +3,8 @@ brute-force loop over each window, and its cached doubling table against the
 table it builds per call; the single-time fold against a left-to-right loop,
 and a chain scorer's prefix tables against that fold.  Last, the one array
 layout of the monitor: every stacked signal and every grid result is a
-C-contiguous (samples x traces) array."""
+C-contiguous (samples x traces) array, and every compiled closure returns a
+fresh contiguous array on each call."""
 import functools
 
 import numpy as np
@@ -23,6 +24,7 @@ from stlmine.monitor import (
     _ROWS_ACROSS_MIN,
     BIG,
     _Batch,
+    _compile,
     _fold,
     _rob,
     _Scorer,
@@ -231,3 +233,23 @@ def test_batches_and_grid_results_are_time_major(phi, batches):
             for sub in (node, Not(node)):
                 out = _rob(sub, b)
                 assert out.shape == (b.n, b.k) and out.flags.c_contiguous, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMULAS, batches_of_two_shapes())
+def test_compiled_results_are_fresh_and_contiguous(phi, batches):
+    # a parent overwrites its child's result, so every node's closure, on the
+    # grid and at a time, must return a new contiguous array on each call,
+    # sharing memory neither with a stacked signal nor with its last result
+    for b in batches:
+        for node in iter_nodes(phi):
+            for t in (None, b.start, b.start + (b.n - 1) * b.period):
+                f = _compile(node, b, [], t)
+                last = None
+                for _ in range(2):
+                    out = f([])
+                    assert out.shape == ((b.n, b.k) if t is None else (b.k,)), (node, t)
+                    assert out.flags.c_contiguous, (node, t)
+                    assert not any(np.shares_memory(out, sig) for sig in b.signals.values())
+                    assert last is None or not np.shares_memory(out, last), (node, t)
+                    last = out
