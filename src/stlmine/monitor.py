@@ -63,19 +63,19 @@ zero counts as a violation.
 call the compiled template).  It scores a template ``(not | F_I | G_I)*
 (x ~ c)`` through its threshold, and any other by its compiled closure, one
 per batch, built once per fit and shared by g and the MCR check.  With the
-negations pushed down to
-the atom, each window takes the max or the min of the raw signal x, and
-robustness is ``x - c`` or ``c - x`` of that composed reduction R, negated
-once per ``not`` and clipped to [-BIG, BIG].  Rounding a difference, negation
-and the clip are monotone, so they commute with max and min bit for bit, the
-sign of zero included.  Where ``_rob`` writes ±BIG, R holds the reduction's
-identity ±inf, which the clip turns into the same ±BIG.  R depends on a
-valuation only through the window offsets, so it is computed once for many
-thresholds.  A lone window that starts at a constant starts at
-one sample per batch under every valuation, and the scorer keeps its R as a
-prefix table per batch, built whole when the batch is first scored: row i
-folds the window's first i + 1 samples as ``_fold`` does, so one table serves
-every window length, and each row keeps its extreme over the traces.  Any
+negations pushed down to the atom, each window takes the max or the min of
+the raw signal x, and robustness is ``x - c`` or ``c - x`` of that composed
+reduction R, negated once per ``not`` and clipped to [-BIG, BIG].  Rounding
+a difference, negation and the clip are monotone, so they commute with max
+and min bit for bit, the sign of zero included.  Where ``_rob`` writes ±BIG,
+R holds the reduction's identity ±inf, which the clip turns into the same
+±BIG.  R depends on a valuation only through the window offsets, so it is
+computed once for many thresholds.  A lone window that starts at a constant
+starts at one sample per batch under every valuation, and the scorer keeps
+its R as a prefix table per batch, built whole when the batch is first
+scored: row i folds the window's first i + 1 samples as ``_fold`` does, so
+one table serves every window length, and each row keeps its extreme over
+the traces.  Any
 other chain folds its outermost window as ``_rob`` does, over the inner
 windows' R on the grid, which it builds afresh for each set of inner offsets
 (the window over the raw signal reads the batch's doubling table), and keeps
