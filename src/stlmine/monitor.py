@@ -535,9 +535,6 @@ class _Scorer:
         if self.ops is None:
             fs = [self._compile_on(b, names)[1] for b in batches]
             least = np.minimum.reduce  # what ndarray.min runs, without its wrapper
-            if len(fs) == 1:
-                f = fs[0]
-                return lambda v: float(least(f(v), axis=None))
             return lambda v: min([float(least(f(v), axis=None)) for f in fs])
 
         plans = []
