@@ -60,9 +60,9 @@ A trace satisfies a formula iff its robustness is strictly positive; an exact
 zero counts as a violation.
 
 ``_Scorer`` answers what a fit asks at t=0: g and the MCR count (fingerprints
-call the compiled template).  It scores a template ``(not | F_I | G_I)*
-(x ~ c)`` through its threshold, and any other by its compiled closure, one
-per batch, built once per fit and shared by g and the MCR check.  With the
+call the compiled template).  Both read one plan per batch, built once per
+fit (``_plan``): a template ``(not | F_I | G_I)* (x ~ c)`` is scored
+through its threshold, and any other by its closure compiled at t=0.  With the
 negations pushed down to the atom, each window takes the max or the min of
 the raw signal x, and robustness is ``x - c`` or ``c - x`` of that composed
 reduction R, negated once per ``not`` and clipped to [-BIG, BIG].  Rounding
@@ -85,10 +85,11 @@ R with the threshold directly: robustness is > 0 exactly where R lies on the
 satisfying side of c.
 
 The boundary search calls ``_Scorer.g``, a function of the parameter list
-built once per fit.  For a chain it resolves every window end to a constant's
-sample index or a parameter's position when it is built, as ``_compile``
-does, and a call reads one extreme per batch and subtracts and clips in
-Python floats.  For any other template a call runs the compiled closures.
+that builds the plans of its batches once per fit.  A chain's plan holds its
+window ends resolved by ``_resolve`` and its threshold, a constant or a
+position in the list.  A g call and the MCR check, which reads its valuation
+by name into that list, get sample indices by ``_at``; g reads one extreme
+per batch and subtracts and clips in Python floats.
 """
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ from .errors import FormulaStructureError, TraceDomainError, UnknownSignalError
 from .formula import (
     And,
     Atom,
-    Bound,
     Const,
     Finally,
     Formula,
@@ -135,17 +135,12 @@ class _Batch:
             name: np.array([tr.values(name) for tr in traces]).T.copy()
             for name in ref.signal_names
         }
+        for x in self.signals.values():  # shared by every score; see _window_reduce
+            x.setflags(write=False)
         # largest |value| per signal, so that atoms clip only when they can reach BIG
         self.absmax = {name: float(max(v.max(), -v.min())) for name, v in self.signals.items()}
         # (signal, largest) -> doubling table of that raw signal, built as deep as asked
         self.levels: dict[tuple[str, bool], list[np.ndarray]] = {}
-
-
-def _bound(b: Bound, val: dict[str, float] | None) -> float:
-    """Value of a threshold or window end: a Param reads the valuation."""
-    if isinstance(b, Const):
-        return b.value
-    return val[b.name]
 
 
 def _end(x: float, t0: float, period: float, closed: bool, lower: bool, n: int) -> int:
@@ -170,22 +165,13 @@ def _offset(t: float, b: _Batch) -> float:
     return 0.0 if d < 0.0 else last if d > last else d
 
 
-def _window(iv: Interval, b: _Batch, val, t: float | None) -> tuple[int, int]:
-    """Sample indices (jlo, jhi) of the window t + I, honouring open/closed
-    ends and clipped to the grid; the window is empty when jhi < jlo.
-
-    Given a time ``t`` these are absolute indices.  With ``t`` None they are
-    offsets: the window at grid index q is q+jlo .. q+jhi.
-    """
-    t0 = 0.0 if t is None else _offset(t, b)
-    return (_end(_bound(iv.lo, val), t0, b.period, iv.lo_closed, True, b.n),
-            _end(_bound(iv.hi, val), t0, b.period, iv.hi_closed, False, b.n))
-
-
 def _resolve(iv: Interval, b: _Batch, names: list[str], t: float | None) -> list:
-    """``_window``'s two ends, resolved once for a parameter list in ``names``
-    order: a Const end to its sample index, a Param end to its position in
-    the list followed by the other arguments of ``_end``.  ``_at`` reads one."""
+    """The ends (lo, hi) of the window t + I in samples, honouring open/closed
+    ends and clipped to the grid (empty when hi < lo), resolved once for a
+    parameter list in ``names`` order: a Const end to its sample index, a
+    Param end to its position in the list followed by the other arguments of
+    ``_end``, which ``_at`` reads.  Given ``t`` they are absolute indices; with
+    ``t`` None, offsets: the window at grid index q is q+lo .. q+hi."""
     t0 = 0.0 if t is None else _offset(t, b)
     ends = []
     for bound, closed, lower in ((iv.lo, iv.lo_closed, True), (iv.hi, iv.hi_closed, False)):
@@ -226,7 +212,9 @@ def _window_reduce(
     hold the last level.
     ``levels`` is a cached table of ``arr`` (``levels[0] is arr``), extended
     here as deep as the window needs.  Both pair the same samples in the same
-    order, so they give the same bytes.
+    order, so they give the same bytes.  A batch's raw signal is reduced only
+    through ``levels``: it is read-only, so building a table in it raises
+    ``ValueError`` instead of overwriting the batch.
     """
     n, k = arr.shape
     w = jhi - jlo + 1
@@ -311,6 +299,7 @@ def _compile(node: Formula, b: _Batch, names: list[str], t: float | None = None)
     the window is then reduced over its own samples only, by a left-to-right
     fold of them (``_fold``).  Every call returns a fresh C-contiguous array
     and keeps nothing, so a node may overwrite its left child's result.
+    ``_Scorer`` keeps a template's closure at t=0 as its plan for a batch.
     """
     shape = (b.n, b.k) if t is None else b.k
     match node:
@@ -399,12 +388,12 @@ def _rob(
 
 class _Scorer:
     """A template's minimum robustness over the traces at t=0 (``g``) and its
-    count above zero (``positive``).  A chain ``(not | F_I | G_I)* (x ~ c)``
-    with at least one window is scored from R, the composed window max/min of
-    x (see the module docstring); any other template, whose ``ops`` is None,
-    by ``_compile``'s closure at t=0, compiled once per batch: g compiles the
-    batches it scores, and ``positive`` reuses that closure or compiles one on
-    first use.
+    count above zero (``positive``), both read from one plan per batch
+    (``_plan``): g builds the plans of the batches it scores, and
+    ``positive`` reuses its batch's plan or builds one on first use.  A chain
+    ``(not | F_I | G_I)* (x ~ c)`` with at least one window is scored from R,
+    the composed window max/min of x (see the module docstring); any other
+    template, whose ``ops`` is None, by ``_compile``'s closure at t=0.
 
     A lone window that starts at a constant reads R from a prefix table per
     batch, built whole on first use.  Any other chain folds its outermost
@@ -418,8 +407,8 @@ class _Scorer:
         self._tables: dict[_Batch, tuple] = {}
         # (batch, jlo, jhi, inner window offsets) -> the extreme of R, if not tabled
         self._memo: dict[tuple, float] = {}
-        # batch -> (parameter names, the template compiled at t=0), if not a chain
-        self._compiled: dict[_Batch, tuple] = {}
+        # batch -> (parameter names, the batch's plan), see _plan
+        self._plans: dict[_Batch, tuple] = {}
         ops, odd, node = [], False, template
         while isinstance(node, (Not, Finally, Globally)):
             if isinstance(node, Not):
@@ -496,65 +485,71 @@ class _Scorer:
             x = self._memo[key] = float(r.min() if self.rising else r.max())
         return x
 
-    def positive(self, b: _Batch, val) -> int:
-        """How many traces have robustness > 0 at t=0.  A chain compares R with
-        the threshold: their difference is > 0 exactly where R is the larger,
-        and negation flips, and the clip keeps, its sign."""
+    def _plan(self, b: _Batch, names: list[str]) -> tuple:
+        """The plan of batch b for a parameter list in ``names`` order, kept with
+        the names: the template compiled at t=0, or for a chain its window ends
+        resolved by ``_resolve``, outermost first, as (lo, hi, inner ends), and
+        its threshold, a position in the list or a constant."""
         if self.ops is None:
-            names, f = self._compiled.get(b) or self._compile_on(b, list(val or ()))
-            return np.count_nonzero(f([val[name] for name in names]) > 0)
-        jlo, jhi = _window(self.ops[0][0], b, val, 0.0)
+            plan = _compile(self.template, b, names, 0.0)
+        else:
+            lo, hi = _resolve(self.ops[0][0], b, names, 0.0)
+            inner = [e for iv, _ in self.ops[1:] for e in _resolve(iv, b, names, None)]
+            c = self.atom.bound
+            plan = lo, hi, inner, c.value if isinstance(c, Const) else names.index(c.name)
+        entry = self._plans[b] = names, plan
+        return entry
+
+    def positive(self, b: _Batch, val) -> int:
+        """How many traces have robustness > 0 at t=0 under ``val``, read by name
+        into the order of b's plan.  A chain compares R with the threshold:
+        their difference is > 0 exactly where R is the larger, and negation
+        flips, and the clip keeps, its sign."""
+        names, plan = self._plans.get(b) or self._plan(b, list(val or ()))
+        v = [val[name] for name in names]
+        if self.ops is None:
+            return np.count_nonzero(plan(v) > 0)
+        lo, hi, inner, c = plan
+        jlo, jhi = _at(lo, v), _at(hi, v)
         if jhi < jlo:
             r = np.full(b.k, self._empty)
         elif self.tabled:
             r = self._table(b, jlo)[0][jhi - jlo]
         else:
-            inner = tuple(j for iv, _ in self.ops[1:] for j in _window(iv, b, val, None))
-            r = self._reduce(b, jlo, jhi, inner)
-        c = _bound(self.atom.bound, val)
+            r = self._reduce(b, jlo, jhi, tuple([_at(e, v) for e in inner]))
+        c = v[c] if c.__class__ is int else c
         return np.count_nonzero(r > c if self.rising else r < c)
-
-    def _compile_on(self, b: _Batch, names: list[str]) -> tuple:
-        """The template, not a chain, compiled at t=0 on batch b for a
-        parameter list in ``names`` order, kept per batch with the names."""
-        entry = self._compiled[b] = names, _compile(self.template, b, names, 0.0)
-        return entry
 
     def g(self, batches: list[_Batch], names: list[str]):
         """The function of a list v of parameter values that gives, as a Python
         float, ``min(float(_rob(template, b, dict(zip(names, v)), 0.0).min())
         for b in batches)``.
 
-        Any template but a chain is compiled here, once per batch, and a call
-        runs the compiled closures.  A chain resolves each window end here,
-        once, by ``_resolve``, and scores a call from one extreme of R per
-        batch.  Robustness is monotone in R, so the lowest-scoring extreme
-        over the batches gives the minimum; it is clipped in floats, as
-        np.clip would.
+        The plans of the batches are built here, once.  A call runs their
+        compiled closures, or for a chain reads its window ends by ``_at`` and
+        scores from one extreme of R per batch.  Robustness is monotone in R,
+        so the lowest-scoring extreme over the batches gives the minimum; it
+        is clipped in floats, as np.clip would.
         """
         if self.ops is None:
-            fs = [self._compile_on(b, names)[1] for b in batches]
+            fs = [self._plan(b, names)[1] for b in batches]
             least = np.minimum.reduce  # what ndarray.min runs, without its wrapper
             return lambda v: min([float(least(f(v), axis=None)) for f in fs])
 
-        plans = []
-        for b in batches:
-            ends = [e for w, (iv, _) in enumerate(self.ops)
-                    for e in _resolve(iv, b, names, 0.0 if w == 0 else None)]
-            plans.append((b, ends[0], ends[1], ends[2:]))
-        c = self.atom.bound
-        ci, cv = (None, c.value) if isinstance(c, Const) else (names.index(c.name), None)
+        plans = [(b, *self._plan(b, names)[1]) for b in batches]
+        c = plans[0][4]  # the threshold is the same in every plan
+        ci = c if c.__class__ is int else None
         gt, odd, rising, extreme = self.atom.op in (">", ">="), self.odd, self.rising, self._extreme
 
         def g(v):
             r = None
-            for b, lo, hi, inner in plans:
+            for b, lo, hi, inner, _ in plans:
                 offsets = tuple([_at(e, v) for e in inner]) if inner else ()
                 x = extreme(b, _at(lo, v), _at(hi, v), offsets)
                 if r is None or (x < r if rising else x > r):
                     r = x
-            c = cv if ci is None else v[ci]
-            out = r - c if gt else c - r
+            cv = c if ci is None else v[ci]
+            out = r - cv if gt else cv - r
             if odd:
                 out = -out
             return -BIG if out < -BIG else BIG if out > BIG else out

@@ -143,9 +143,12 @@ def templates_and_valuations(draw):
 @given(templates_and_valuations(), batches_of_two_shapes())
 def test_compiled_g_and_positive_equal_rob(template_and_val, batches):
     # g, compiled once per fit, against the minimum of _rob over the batches;
-    # positive, the count the MCR check sums, against _rob's count above zero
+    # positive, the count the MCR check sums, against _rob's count above zero.
+    # positive reads the valuation by name, from g's plans or from plans of
+    # its own built for the keys in reverse order
     template, val = template_and_val
-    scorer = _Scorer(template)
+    backward = dict(reversed(val.items()))
+    scorer, fresh = _Scorer(template), _Scorer(template)
     g = scorer.g(batches, list(val))
     want = [_rob(template, b, val, 0.0) for b in batches]
     for _ in range(2):  # the second call reads the prefix tables
@@ -153,7 +156,9 @@ def test_compiled_g_and_positive_equal_rob(template_and_val, batches):
         assert type(got) is float
         assert got == min(float(w.min()) for w in want)
         for b, w in zip(batches, want):
-            assert scorer.positive(b, val) == np.count_nonzero(w > 0)
+            count = np.count_nonzero(w > 0)
+            assert scorer.positive(b, val) == scorer.positive(b, backward) == count
+            assert fresh.positive(b, backward) == count
 
 
 @pytest.mark.parametrize("text", [

@@ -54,24 +54,29 @@ def _private(name: str) -> bool:
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``module: name`` for each private function, method, class or
-    module-level constant defined in the sources that none of them reads,
-    by name or as an attribute."""
+    """``module: name`` for each private function, method, class, module-level
+    constant or attribute (stored as ``obj._x = ...``) defined in the sources
+    that none of them reads, by name or as an attribute.  Storing an item of
+    an attribute, ``obj._x[k] = ...``, does not read it."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        item_stores = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.append((module, node.attr))
+            elif isinstance(node, ast.Attribute) and id(node) not in item_stores:
                 read.add(node.attr)
         for node in tree.body:
             targets = node.targets if isinstance(node, ast.Assign) else (
                 [node.target] if isinstance(node, ast.AnnAssign) else [])
             defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
-    return [f"{module}: {name}" for module, name in defined
+    return [f"{module}: {name}" for module, name in dict.fromkeys(defined)
             if _private(name) and name not in read]
 
 
@@ -88,3 +93,13 @@ def test_an_unread_private_helper_is_found():
         "b.py": "from a import _f\n_f()\n_C()._m()\n",
     }
     assert unread_private_names(sources) == ["a.py: _n", "a.py: _L"]
+
+
+def test_an_unread_private_attribute_is_found():
+    sources = {
+        "a.py": "class C:\n    def __init__(self):\n        self._a, self._b = 1, {}\n"
+                "        self._c: dict = {}\n        self._c[0] = self._b[0] = 1\n"
+                "        self._d = self._e = 2\n        self.x = None\n",
+        "b.py": "from a import C\nc = C()\nc._f = c._a + c._b.get(0) + c._e\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _c", "a.py: _d", "b.py: _f"]

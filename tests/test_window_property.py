@@ -1,10 +1,11 @@
 """Property tests: the sliding-window max/min kernel of the monitor against a
 brute-force loop over each window, and its cached doubling table against the
-table it builds per call; the single-time fold against a left-to-right loop,
-and a chain scorer's prefix tables against that fold.  Last, the one array
-layout of the monitor: every stacked signal and every grid result is a
-C-contiguous (samples x traces) array, and every compiled closure returns a
-fresh contiguous array on each call."""
+table it builds per call, which may not be built in a batch's own signal; the
+single-time fold against a left-to-right loop, and a chain scorer's prefix
+tables against that fold.  Last, the one array layout of the monitor: every
+stacked signal and every grid result is a C-contiguous (samples x traces)
+array, and every compiled closure returns a fresh contiguous array on each
+call."""
 import functools
 
 import numpy as np
@@ -88,6 +89,15 @@ def test_window_reduce_matches_bruteforce(case):
     _window_reduce(levels[0], 0, n - 1, largest, fill, levels)
     again = _window_reduce(levels[0], jlo, jhi, largest, fill, levels)
     assert again.tobytes() == cached.tobytes()
+
+
+def test_a_batch_signal_is_reduced_only_through_levels():
+    # without levels the kernel builds its table in its input, and a batch's
+    # signal is already contiguous, so it would be the table; it is read-only
+    b = _Batch([Trace({"x": np.arange(8.0)}, 1.0)])
+    with pytest.raises(ValueError, match="read-only"):
+        _window_reduce(b.signals["x"], 0, 3, True, -BIG)
+    assert b.signals["x"][:, 0].tolist() == list(range(8))
 
 
 def left_fold(cols, largest):
